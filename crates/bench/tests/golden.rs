@@ -1,0 +1,108 @@
+//! Golden outputs: exact deterministic counts and stable-report bytes
+//! for the bench worlds and one Fig. 4 scenario cell, pinned under both
+//! serial schedulers. A kernel or plumbing refactor must leave every
+//! value here untouched; a change that legitimately moves one has to
+//! re-pin it and explain why.
+
+use sc_bench::churn::{build_churn_world, run_churn, ChurnParams};
+use sc_bench::replay::{build_replay_world, run_replay, ReplayParams};
+use sc_lab::Mode;
+use sc_mrt::TimeScale;
+use sc_net::SimDuration;
+use sc_scenarios::{run_scenario, EventScript, ScenarioConfig, SuiteReport, TopologySpec};
+use sc_sim::SchedulerKind;
+
+const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::ReferenceHeap, SchedulerKind::TimerWheel];
+
+/// The churn unit tests' `tiny()` world. Built by field assignment on
+/// the smoke preset so the pin does not depend on the full field list.
+fn churn_tiny(scheduler: SchedulerKind) -> ChurnParams {
+    let mut p = ChurnParams::smoke();
+    p.prefixes = 300;
+    p.providers = 2;
+    p.bursts = 20;
+    p.burst_prefixes = 50;
+    p.interval = SimDuration::from_millis(2);
+    p.bfd_interval = SimDuration::from_millis(5);
+    p.seed = 7;
+    p.scheduler = scheduler;
+    p
+}
+
+/// The replay unit tests' `tiny()` world, built the same way.
+fn replay_tiny(scheduler: SchedulerKind) -> ReplayParams {
+    let mut p = ReplayParams::smoke();
+    p.prefixes = 300;
+    p.providers = 2;
+    p.bursts = 20;
+    p.burst_prefixes = 25;
+    p.burst_gap_us = 5_000;
+    p.bfd_interval = SimDuration::from_millis(5);
+    p.time_scale = TimeScale::REAL;
+    p.seed = 7;
+    p.scheduler = scheduler;
+    p
+}
+
+#[test]
+fn churn_tiny_counts_are_pinned() {
+    for sched in SCHEDULERS {
+        let mut cw = build_churn_world(churn_tiny(sched));
+        let m = run_churn(&mut cw);
+        assert_eq!(
+            (m.events, m.updates_processed, m.fib_ops_applied),
+            (3012, 85, 2430),
+            "{sched:?}"
+        );
+    }
+}
+
+#[test]
+fn replay_tiny_counts_are_pinned() {
+    for sched in SCHEDULERS {
+        let mut rw = build_replay_world(&replay_tiny(sched));
+        let m = run_replay(&mut rw);
+        assert_eq!(
+            (m.events, m.updates_processed, m.fib_ops_applied),
+            (3869, 199, 1314),
+            "{sched:?}"
+        );
+    }
+}
+
+const FIG4_CUT_STABLE_CSV: &str = concat!(
+    "topology,script,mode,prefixes,flows,rate_pps,median_us,p95_us,max_us,mean_us,unrecovered,detection_us,flow_rewrites,cycles,cycle_median_us,cycle_p95_us,cycle_unrecovered,events,events_per_sec,viol_blackhole_us,viol_loop_us,viol_transit_us,degraded_us,flowmod_retries,detect_us,notify_us,program_us,fib_us,error\n",
+    "fig4,primary-cut,legacy,300,10,14000,401940,437195,443590,400043,0,74463,,1,401940,437195,0,1360567,,,,,,,,,,,\n",
+    "fig4,primary-cut,supercharged,300,10,14000,102060,102060,102060,98518,0,83942,1,1,102060,102060,0,1152180,,,,,0,0,,,,,\n",
+);
+
+#[test]
+fn fig4_primary_cut_stable_report_is_pinned() {
+    for sched in SCHEDULERS {
+        let cfg = ScenarioConfig {
+            prefixes: 300,
+            flows: 10,
+            seed: 11,
+            scheduler: sched,
+            ..ScenarioConfig::default()
+        };
+        let rows: Vec<_> = [Mode::Stock, Mode::Supercharged]
+            .into_iter()
+            .map(|mode| {
+                run_scenario(
+                    &TopologySpec::Fig4Lab,
+                    &EventScript::primary_cut(),
+                    mode,
+                    &cfg,
+                )
+            })
+            .collect();
+        let events: Vec<u64> = rows.iter().map(|r| r.events_processed).collect();
+        assert_eq!(events, [1_360_567, 1_152_180], "{sched:?}");
+        let report = SuiteReport {
+            rows,
+            errors: Vec::new(),
+        };
+        assert_eq!(report.to_csv_stable(), FIG4_CUT_STABLE_CSV, "{sched:?}");
+    }
+}
