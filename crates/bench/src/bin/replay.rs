@@ -5,23 +5,17 @@
 //!
 //! ```text
 //! cargo run --release -p sc-bench --bin replay -- \
-//!     [--smoke] [--baseline] [--sched heap|wheel] [--legacy-encode] \
+//!     [--smoke] [--sched heap|wheel] \
 //!     [--fixture] [--time-scale S] [--prefixes N] [--providers K] \
 //!     [--bursts B] [--repeat K] [--label NAME] [--out FILE] \
 //!     [--stable-out FILE] [--check BENCH_PR5.json [--tolerance 20]]
 //! ```
 //!
-//! Emits one flat JSON object per run in the `perf` shape, so the
-//! committed `BENCH_PR5.json` is produced the usual way:
+//! Emits one flat JSON object per run in the `perf` shape, so a
+//! trajectory point is produced the usual way — run the before and
+//! after builds, then `perf --merge before.json after.json`.
 //!
-//! ```text
-//! replay --baseline --out base.json
-//! replay --out after.json
-//! perf --merge base.json after.json --out BENCH_PR5.json
-//! ```
-//!
-//! `--baseline` reconstructs the pre-PR4 control path (reference heap +
-//! legacy encode) under the replay workload; the event stream is
+//! `--sched heap|wheel` picks the kernel scheduler; the event stream is
 //! identical either way (regression-tested), so the ratio isolates
 //! kernel cost on recorded dynamics. `--stable-out` writes the report
 //! without the wall-clock fields: identical invocations produce
@@ -43,7 +37,6 @@ fn sched_name(s: SchedulerKind) -> &'static str {
     match s {
         SchedulerKind::TimerWheel => "wheel",
         SchedulerKind::ReferenceHeap => "heap",
-        SchedulerKind::Sharded { .. } => "sharded",
     }
 }
 
@@ -61,7 +54,7 @@ fn replay_json(
         concat!(
             "{{\"label\":\"{}\",\"bench\":\"mrt_replay\",",
             "\"prefixes\":{},\"providers\":{},\"fixture\":{},\"time_scale\":\"{}\",",
-            "\"scheduler\":\"{}\",\"legacy_encode\":{},",
+            "\"scheduler\":\"{}\",",
             "\"updates_injected\":{},\"prefix_events\":{},\"trace_span_ms\":{},",
             "\"events\":{},\"updates_processed\":{},\"fib_ops_applied\":{}"
         ),
@@ -71,7 +64,6 @@ fn replay_json(
         fixture,
         p.time_scale,
         sched_name(p.scheduler),
-        p.legacy_encode,
         rw.updates_injected,
         rw.prefix_events,
         rw.trace_span.as_nanos() / 1_000_000,
@@ -99,12 +91,9 @@ fn main() {
     } else {
         ReplayParams::paper()
     };
-    let baseline = args.flag("--baseline");
     let scheduler = match args.raw_value("--sched").as_deref() {
         Some("heap") => SchedulerKind::ReferenceHeap,
-        Some("wheel") => SchedulerKind::TimerWheel,
-        None if baseline => SchedulerKind::ReferenceHeap,
-        None => SchedulerKind::TimerWheel,
+        Some("wheel") | None => SchedulerKind::TimerWheel,
         Some(other) => panic!("unknown --sched {other} (heap|wheel)"),
     };
     let time_scale: TimeScale = args
@@ -123,13 +112,10 @@ fn main() {
         seed: args.value("--seed", base.seed),
         time_scale,
         scheduler,
-        legacy_encode: baseline || args.flag("--legacy-encode"),
     };
     let repeat: u32 = args.value("--repeat", if smoke { 1 } else { 3 });
     let label = args.raw_value("--label").unwrap_or_else(|| {
-        if baseline {
-            "replay-baseline".into()
-        } else if smoke {
+        if smoke {
             "replay-smoke".into()
         } else {
             "replay".into()

@@ -47,12 +47,12 @@ impl Table {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (i, row) in self.rows.iter().enumerate() {
-            let cells: Vec<String> = row
+            let padded: Vec<String> = row
                 .iter()
                 .zip(&self.widths)
                 .map(|(f, w)| format!("{f:>w$}"))
                 .collect();
-            out.push_str(&cells.join("  "));
+            out.push_str(&padded.join("  "));
             out.push('\n');
             if i == 0 {
                 let total: usize = self.widths.iter().sum::<usize>() + 2 * (self.widths.len() - 1);

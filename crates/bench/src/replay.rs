@@ -17,9 +17,9 @@
 //! `sc_routegen::mrt` (in memory — the parser and replay compiler are
 //! part of what's measured); `--fixture` runs the small committed
 //! fixtures instead. Every quantity is a pure function of the
-//! parameters, and the event stream is invariant across schedulers and
-//! encode modes (regression-tested), so events/s ratios isolate kernel
-//! cost exactly as the other trajectory points do.
+//! parameters, and the event stream is invariant across schedulers
+//! (regression-tested), so events/s ratios isolate kernel cost exactly
+//! as the other trajectory points do.
 
 use sc_bfd::BfdConfig;
 use sc_bgp::msg::UpdateMsg;
@@ -69,9 +69,6 @@ pub struct ReplayParams {
     pub seed: u64,
     /// Event scheduler for the world (the comparison axis).
     pub scheduler: SchedulerKind,
-    /// Route outgoing BGP messages through the legacy fresh-`Vec`
-    /// encode path (baseline runs).
-    pub legacy_encode: bool,
 }
 
 impl ReplayParams {
@@ -90,7 +87,6 @@ impl ReplayParams {
             time_scale: TimeScale::REAL,
             seed: 42,
             scheduler: SchedulerKind::default(),
-            legacy_encode: false,
         }
     }
 
@@ -106,7 +102,6 @@ impl ReplayParams {
             time_scale: TimeScale::REAL,
             seed: 42,
             scheduler: SchedulerKind::default(),
-            legacy_encode: false,
         }
     }
 
@@ -211,7 +206,6 @@ pub fn build_replay_world_from(p: &ReplayParams, rib: &[u8], trace: &[u8]) -> Re
                 iface,
                 ..PeerConfig::ebgp(provider_ip(i), provider_mac(i), true)
             });
-            r1n.set_zero_alloc_encode(!p.legacy_encode);
         }
         {
             let pn = world.node_mut::<LegacyRouter>(provider);
@@ -228,7 +222,6 @@ pub fn build_replay_world_from(p: &ReplayParams, rib: &[u8], trace: &[u8]) -> Re
                 originate: feed,
                 ..PeerConfig::ebgp(r1_ip(i), r1_mac(i), false)
             });
-            pn.set_zero_alloc_encode(!p.legacy_encode);
         }
     }
 
@@ -309,7 +302,6 @@ mod tests {
             time_scale: TimeScale::REAL,
             seed: 7,
             scheduler: SchedulerKind::default(),
-            legacy_encode: false,
         }
     }
 
@@ -329,28 +321,23 @@ mod tests {
         assert!(m.events > 1_000);
     }
 
-    /// Scheduler choice, encode path, and a fixture detour are pure
-    /// kernel-cost knobs: the event stream and every router-visible
-    /// outcome must be identical (and two identical runs trivially so).
+    /// Scheduler choice is a pure kernel-cost knob: the event stream
+    /// and every router-visible outcome must be identical (and two
+    /// identical runs trivially so). (Outgoing UPDATEs always take the
+    /// zero-alloc encode path.)
     #[test]
     fn replay_world_is_invariant_under_scheduler_and_encode() {
         let base = {
             let mut rw = build_replay_world(&tiny());
             run_replay(&mut rw)
         };
-        for (sched, legacy) in [
-            (SchedulerKind::TimerWheel, false), // identical rerun
-            (SchedulerKind::ReferenceHeap, false),
-            (SchedulerKind::TimerWheel, true),
-            (SchedulerKind::ReferenceHeap, true),
-        ] {
+        for sched in [SchedulerKind::TimerWheel, SchedulerKind::ReferenceHeap] {
             let mut rw = build_replay_world(&ReplayParams {
                 scheduler: sched,
-                legacy_encode: legacy,
                 ..tiny()
             });
             let m = run_replay(&mut rw);
-            assert_eq!(m.events, base.events, "{sched:?} legacy={legacy}");
+            assert_eq!(m.events, base.events, "{sched:?}");
             assert_eq!(m.updates_processed, base.updates_processed);
             assert_eq!(m.fib_ops_applied, base.fib_ops_applied);
         }

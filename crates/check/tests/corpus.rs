@@ -152,12 +152,14 @@ fn ambient_print_exempts_clis_and_shell_crates() {
     assert!(!lib.diagnostics.is_empty());
 }
 
+/// Only the suite-runner files are exempt; the kernel crate `sc-sim`
+/// denies like every other crate.
 #[test]
 fn ambient_threading_exempts_kernel_and_suite_runners() {
     let src = include_str!("corpus/threading_bad.rs");
-    // The sharded kernel crate owns simulation parallelism.
+    // The kernel runs single-threaded: no crate-wide exemption.
     let sim = analyze("sc-sim", "crates/sim/src/world.rs", src);
-    assert!(sim.diagnostics.is_empty(), "{:?}", sim.diagnostics);
+    assert!(!sim.diagnostics.is_empty());
     // The suite runner files fan independent trials across a pool.
     for path in [
         "crates/scenarios/src/runner.rs",

@@ -4,8 +4,8 @@
 //! Everything here is a pure function of what was recorded: names are
 //! `&'static str`, storage is `BTreeMap` (iteration order is name
 //! order, never hasher order), and merging two registries is plain
-//! addition — so per-shard and per-worker registries fold into one
-//! total that is independent of thread scheduling. A disabled registry
+//! addition — so per-node and per-worker registries fold into one
+//! total that is independent of fold order. A disabled registry
 //! reduces every operation to one branch, keeping instrumented hot
 //! paths free when observability is off.
 //!
@@ -160,8 +160,8 @@ impl Registry {
         self.enabled
     }
 
-    /// An enabled registry (for per-shard scratch registries mirroring
-    /// an enabled world registry).
+    /// An enabled registry (e.g. a scratch registry that node-local
+    /// counters fold into before export).
     pub fn enabled() -> Registry {
         Registry {
             enabled: true,
@@ -209,7 +209,7 @@ impl Registry {
 
     /// Additive merge: counters add, histograms add bucket-wise. The
     /// total is the same whatever order partial registries fold in —
-    /// the determinism contract for suite workers and kernel shards.
+    /// the determinism contract for suite workers and node folds.
     pub fn merge(&mut self, other: &Registry) {
         for (&k, &v) in &other.counters {
             *self.counters.entry(k).or_insert(0) += v;
@@ -217,13 +217,6 @@ impl Registry {
         for (&k, h) in &other.histograms {
             self.histograms.entry(k).or_default().merge(h);
         }
-    }
-
-    /// Drop every recorded value, keeping the enabled flag (per-window
-    /// scratch reuse).
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.histograms.clear();
     }
 
     /// Byte-reproducible JSON dump: names sorted, integers only.

@@ -129,8 +129,8 @@ impl ScenarioOutcome {
 
 /// The exported observability artifacts of one traced trial: the
 /// flight-recorder ring in both serializations plus the merged metrics
-/// registry. Every field is byte-reproducible across reruns, schedulers
-/// and shard counts (the determinism contract).
+/// registry. Every field is byte-reproducible across reruns and
+/// schedulers (the determinism contract).
 #[derive(Clone, Debug)]
 pub struct TraceArtifacts {
     /// One JSON object per trace record (first line is the meta header).
@@ -619,22 +619,13 @@ fn run_suite_filtered(
     // memory simultaneously. Workers pull the next job index from a
     // shared cursor; rows land in their matrix slot, so the report is
     // identical regardless of scheduling.
-    //
-    // Under a sharded trial scheduler each trial itself runs on
-    // `shards` threads, so the pool is capped at
-    // `available_parallelism / shards` — workers × shards never
-    // oversubscribes the machine, even when `--workers` asks for more.
-    let shards = match suite.base.scheduler {
-        sc_sim::SchedulerKind::Sharded { shards } => shards.max(1),
-        _ => 1,
-    };
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
     let workers = suite
         .workers
-        .unwrap_or(avail)
-        .min((avail / shards).max(1))
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+        })
         .max(1)
         .min(jobs.len().max(1));
     let slots: Vec<std::sync::Mutex<Option<TrialResult>>> =
@@ -1090,7 +1081,7 @@ mod tests {
 
     #[test]
     fn parse_completed_cells_skips_errors_and_truncation() {
-        let cells = parse_completed_cells(TRUNCATED_JSONL);
+        let done = parse_completed_cells(TRUNCATED_JSONL);
         let cell = |mode: &str| CompletedCell {
             topology: "chain-2x1".to_string(),
             script: "primary-cut".to_string(),
@@ -1099,7 +1090,7 @@ mod tests {
             seed: 42,
             flows: 10,
         };
-        assert_eq!(cells, vec![cell("legacy"), cell("supercharged")]);
+        assert_eq!(done, vec![cell("legacy"), cell("supercharged")]);
         assert_eq!(parse_completed_cells(""), Vec::new());
         assert_eq!(parse_completed_cells("not json\n{\"x\":1}"), Vec::new());
     }

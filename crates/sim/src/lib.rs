@@ -17,9 +17,8 @@
 //!   and the RNG; provides failure injection (link down, node crash) and
 //!   scripted control events for experiment drivers.
 //! * [`trace`] — sc-trace: a deterministic, causally-keyed flight
-//!   recorder whose exports are byte-identical across every scheduler
-//!   at any shard count (plus a counters/histograms registry living in
-//!   `sc_net::metrics`).
+//!   recorder whose exports are byte-identical across both schedulers
+//!   (plus a counters/histograms registry living in `sc_net::metrics`).
 
 pub mod link;
 pub mod netutil;

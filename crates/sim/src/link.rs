@@ -13,9 +13,7 @@
 //! direction**, seeded from `(world seed, link index, direction)`. Which
 //! frames are hit is therefore a pure function of the seed and the
 //! per-direction emission order — independent of how emissions on
-//! *other* links interleave globally. That independence is what lets
-//! the sharded kernel replay the exact same fault pattern as the
-//! single-threaded reference executor.
+//! *other* links interleave globally.
 
 use crate::node::{NodeId, PortId};
 use sc_net::{Frame, SimDuration, SimTime};
@@ -106,7 +104,7 @@ fn unit_f64(x: u64) -> f64 {
 }
 
 /// Internal link state.
-#[derive(Clone, Copy, Debug)]
+#[derive(Debug)]
 pub(crate) struct Link {
     pub a: Endpoint,
     pub b: Endpoint,
