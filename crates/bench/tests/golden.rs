@@ -5,12 +5,14 @@
 //! re-pin it and explain why.
 
 use sc_bench::churn::{build_churn_world, run_churn, ChurnParams};
+use sc_bench::fwd::{build_forwarding_world, run_forwarding, FwdParams};
 use sc_bench::replay::{build_replay_world, run_replay, ReplayParams};
 use sc_lab::Mode;
 use sc_mrt::TimeScale;
 use sc_net::SimDuration;
 use sc_scenarios::{run_scenario, EventScript, ScenarioConfig, SuiteReport, TopologySpec};
 use sc_sim::SchedulerKind;
+use sc_traffic::TrafficSink;
 
 const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::ReferenceHeap, SchedulerKind::TimerWheel];
 
@@ -104,5 +106,23 @@ fn fig4_primary_cut_stable_report_is_pinned() {
             errors: Vec::new(),
         };
         assert_eq!(report.to_csv_stable(), FIG4_CUT_STABLE_CSV, "{sched:?}");
+    }
+}
+
+#[test]
+fn fwd_smoke_counts_are_pinned() {
+    for sched in SCHEDULERS {
+        let mut p = FwdParams::smoke();
+        p.scheduler = sched;
+        let mut fw = build_forwarding_world(p);
+        let m = run_forwarding(&mut fw);
+        let sink = fw.world.node::<TrafficSink>(fw.sink);
+        let delivered: u64 = sink.report().iter().map(|f| f.packets).sum();
+        assert_eq!(
+            (m.events, m.packets_sent, m.packets_forwarded, delivered),
+            (143_541, 70_020, 70_020, 70_020),
+            "{sched:?}"
+        );
+        assert_eq!(sink.unexpected_packets, 0, "{sched:?}");
     }
 }
