@@ -39,6 +39,7 @@ fn probe_frame() -> Vec<u8> {
         64,
         &[0x5c; 22],
     )
+    .to_vec()
 }
 
 fn bench_dataplane(c: &mut Criterion) {

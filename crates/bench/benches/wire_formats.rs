@@ -51,7 +51,7 @@ fn bench_wire(c: &mut Criterion) {
         desired_min_tx_us: 30_000,
         required_min_rx_us: 30_000,
     };
-    let bytes = pkt.to_bytes();
+    let bytes = pkt.encode();
     g.bench_function("roundtrip_control_packet", |b| {
         b.iter(|| {
             let p = BfdPacket::parse(std::hint::black_box(&bytes)).unwrap();

@@ -17,8 +17,11 @@
 //! Intervals are in microseconds on the wire. The authentication section
 //! (A bit) is not supported and rejected.
 
-use sc_net::wire::{be32, need, put32, WireError};
+use sc_net::wire::udp::port::BFD_CONTROL;
+use sc_net::wire::{be32, need, put32, udp_frame, UdpEndpoints, WireError};
+use sc_net::{Frame, MacAddr};
 use std::fmt;
+use std::net::Ipv4Addr;
 
 /// Packet length without authentication.
 pub const PACKET_LEN: usize = 24;
@@ -94,8 +97,8 @@ pub struct BfdPacket {
 impl BfdPacket {
     /// Serialize to the 24-byte wire form (version 1, no auth, echo
     /// disabled).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = vec![0u8; PACKET_LEN];
+    pub fn encode(&self) -> [u8; PACKET_LEN] {
+        let mut buf = [0u8; PACKET_LEN];
         buf[0] = (1 << 5) | (self.diag as u8);
         buf[1] =
             ((self.state as u8) << 6) | ((self.poll as u8) << 5) | ((self.final_bit as u8) << 4);
@@ -107,6 +110,27 @@ impl BfdPacket {
         put32(&mut buf, 16, self.required_min_rx_us);
         put32(&mut buf, 20, 0); // echo disabled
         buf
+    }
+
+    /// This packet in its RFC 5881 single-hop frame — UDP port 3784 both
+    /// ways, TTL 255 so a receiver can reject anything that crossed a
+    /// router — encoded straight into a recycled frame buffer.
+    pub fn frame(
+        &self,
+        src_mac: MacAddr,
+        src_ip: Ipv4Addr,
+        dst_mac: MacAddr,
+        dst_ip: Ipv4Addr,
+    ) -> Frame {
+        let ep = UdpEndpoints {
+            src_mac,
+            dst_mac,
+            src_ip,
+            dst_ip,
+            src_port: BFD_CONTROL,
+            dst_port: BFD_CONTROL,
+        };
+        udp_frame(ep, 255, &self.encode())
     }
 
     /// Parse and validate (RFC 5880 §6.8.6 reception rules that concern
@@ -182,15 +206,36 @@ mod tests {
                 BfdDiag::NeighborSignaledDown,
                 BfdDiag::AdministrativelyDown,
             ] {
-                let p = BfdPacket {
-                    state,
-                    diag,
-                    ..sample()
-                };
-                let parsed = BfdPacket::parse(&p.to_bytes()).unwrap();
-                assert_eq!(parsed, p);
+                for (poll, final_bit) in [(false, false), (true, false), (false, true)] {
+                    for your_discr in [0, 1, u32::MAX] {
+                        let p = BfdPacket {
+                            state,
+                            diag,
+                            poll,
+                            final_bit,
+                            your_discr,
+                            ..sample()
+                        };
+                        let bytes = p.encode();
+                        assert_eq!(bytes[0] >> 5, 1, "version 1");
+                        assert_eq!(bytes[3] as usize, PACKET_LEN);
+                        assert_eq!(BfdPacket::parse(&bytes).unwrap(), p);
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn frame_is_single_hop_udp() {
+        let src = (MacAddr::new(2, 0, 0, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 1));
+        let dst = (MacAddr::new(2, 0, 0, 0, 0, 2), Ipv4Addr::new(10, 0, 0, 2));
+        let frame = sample().frame(src.0, src.1, dst.0, dst.1);
+        let d = sc_net::wire::peek_udp_frame(&frame).unwrap().unwrap();
+        assert_eq!((d.eth.src, d.eth.dst), (src.0, dst.0));
+        assert_eq!((d.ip.src, d.ip.dst, d.ip.ttl), (src.1, dst.1, 255));
+        assert_eq!((d.udp.src_port, d.udp.dst_port), (3784, 3784));
+        assert_eq!(BfdPacket::parse(d.payload).unwrap(), sample());
     }
 
     #[test]
@@ -200,44 +245,44 @@ mod tests {
             final_bit: true,
             ..sample()
         };
-        let parsed = BfdPacket::parse(&p.to_bytes()).unwrap();
+        let parsed = BfdPacket::parse(&p.encode()).unwrap();
         assert!(parsed.poll && parsed.final_bit);
     }
 
     #[test]
     fn rejects_bad_version_and_fields() {
-        let mut b = sample().to_bytes();
+        let mut b = sample().encode();
         b[0] = (2 << 5) | (b[0] & 0x1f); // version 2
         assert_eq!(
             BfdPacket::parse(&b),
             Err(WireError::Unsupported("bfd version"))
         );
 
-        let mut b = sample().to_bytes();
+        let mut b = sample().encode();
         b[2] = 0; // detect mult zero
         assert!(BfdPacket::parse(&b).is_err());
 
-        let mut b = sample().to_bytes();
+        let mut b = sample().encode();
         b[4..8].copy_from_slice(&[0; 4]); // my discr zero
         assert!(BfdPacket::parse(&b).is_err());
 
-        let mut b = sample().to_bytes();
+        let mut b = sample().encode();
         b[1] |= 0b0000_0100; // auth present
         assert_eq!(
             BfdPacket::parse(&b),
             Err(WireError::Unsupported("bfd authentication"))
         );
 
-        let b = sample().to_bytes();
+        let b = sample().encode();
         assert!(BfdPacket::parse(&b[..20]).is_err());
     }
 
     #[test]
     fn length_field_checked() {
-        let mut b = sample().to_bytes();
+        let mut b = sample().encode();
         b[3] = 23; // below minimum
         assert_eq!(BfdPacket::parse(&b), Err(WireError::BadLength));
-        let mut b = sample().to_bytes();
+        let mut b = sample().encode();
         b[3] = 30; // longer than buffer
         assert_eq!(BfdPacket::parse(&b), Err(WireError::BadLength));
     }

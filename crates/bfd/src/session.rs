@@ -171,15 +171,15 @@ impl BfdSession {
     }
 
     /// Feed a received control packet (UDP payload, already demuxed to
-    /// this session). Returns state-change events.
-    pub fn on_packet(&mut self, pkt: &BfdPacket, now: SimTime) -> Vec<BfdEvent> {
+    /// this session). Returns the state change it caused, if any.
+    pub fn on_packet(&mut self, pkt: &BfdPacket, now: SimTime) -> Option<BfdEvent> {
         // Demultiplexing check: if the packet names a session, it must be
         // ours.
         if pkt.your_discr != 0 && pkt.your_discr != self.cfg.local_discr {
-            return Vec::new();
+            return None;
         }
         if self.state == BfdState::AdminDown {
-            return Vec::new();
+            return None;
         }
         self.packets_received += 1;
         self.remote_discr = pkt.my_discr;
@@ -188,7 +188,7 @@ impl BfdSession {
         self.remote_desired_tx_us = pkt.desired_min_tx_us;
         self.remote_detect_mult = pkt.detect_mult;
 
-        let mut events = Vec::new();
+        let mut event = None;
         let was_up = self.state == BfdState::Up;
 
         if pkt.state == BfdState::AdminDown {
@@ -198,10 +198,10 @@ impl BfdSession {
                 self.diag = BfdDiag::NeighborSignaledDown;
                 self.detect_deadline = None;
                 if was_up {
-                    events.push(BfdEvent::Down(BfdDiag::NeighborSignaledDown));
+                    event = Some(BfdEvent::Down(BfdDiag::NeighborSignaledDown));
                 }
             }
-            return events;
+            return event;
         }
 
         match self.state {
@@ -215,7 +215,7 @@ impl BfdSession {
                     self.transitions += 1;
                     self.diag = BfdDiag::None;
                     self.adopt_fast_cadence(now);
-                    events.push(BfdEvent::Up);
+                    event = Some(BfdEvent::Up);
                 }
                 _ => {}
             },
@@ -225,7 +225,7 @@ impl BfdSession {
                     self.transitions += 1;
                     self.diag = BfdDiag::None;
                     self.adopt_fast_cadence(now);
-                    events.push(BfdEvent::Up);
+                    event = Some(BfdEvent::Up);
                 }
                 _ => {}
             },
@@ -234,7 +234,7 @@ impl BfdSession {
                     self.state = BfdState::Down;
                     self.transitions += 1;
                     self.diag = BfdDiag::NeighborSignaledDown;
-                    events.push(BfdEvent::Down(BfdDiag::NeighborSignaledDown));
+                    event = Some(BfdEvent::Down(BfdDiag::NeighborSignaledDown));
                 }
             }
             BfdState::AdminDown => unreachable!("handled above"),
@@ -251,13 +251,15 @@ impl BfdSession {
         } else {
             self.detect_deadline = None;
         }
-        events
+        event
     }
 
-    /// Pump timers: returns `(events, packets-to-send)`.
-    pub fn poll(&mut self, now: SimTime) -> (Vec<BfdEvent>, Vec<BfdPacket>) {
-        let mut events = Vec::new();
-        let mut out = Vec::new();
+    /// Pump timers: returns `(state change, packet to send)` — each
+    /// timer fires at most once per instant, so there is at most one of
+    /// each.
+    pub fn poll(&mut self, now: SimTime) -> (Option<BfdEvent>, Option<BfdPacket>) {
+        let mut event = None;
+        let mut out = None;
 
         // 1. Detection timeout.
         if let Some(deadline) = self.detect_deadline {
@@ -272,7 +274,7 @@ impl BfdSession {
                 self.remote_min_rx_us = 1;
                 self.remote_desired_tx_us = 1_000_000;
                 if was_up {
-                    events.push(BfdEvent::Down(BfdDiag::DetectionTimeExpired));
+                    event = Some(BfdEvent::Down(BfdDiag::DetectionTimeExpired));
                 }
             }
         }
@@ -280,14 +282,14 @@ impl BfdSession {
         // 2. Periodic transmission.
         if let Some(at) = self.next_tx {
             if now >= at {
-                out.push(self.make_packet());
+                out = Some(self.make_packet());
                 let interval = self.tx_interval();
                 self.next_tx = Some(now + self.apply_jitter(interval));
                 self.packets_sent += 1;
             }
         }
 
-        (events, out)
+        (event, out)
     }
 
     /// When [`BfdSession::poll`] next has work.
@@ -398,30 +400,28 @@ mod tests {
             wire = rest;
             for (t, to_b, pkt) in due {
                 if to_b {
-                    for e in b.on_packet(&pkt, t) {
+                    if let Some(e) = b.on_packet(&pkt, t) {
                         ev_b.push((t, e));
                     }
-                } else {
-                    for e in a.on_packet(&pkt, t) {
-                        ev_a.push((t, e));
-                    }
+                } else if let Some(e) = a.on_packet(&pkt, t) {
+                    ev_a.push((t, e));
                 }
             }
             // Pump both sides.
             let (ea, out_a) = a.poll(now);
-            for e in ea {
+            if let Some(e) = ea {
                 ev_a.push((now, e));
             }
-            for p in out_a {
+            if let Some(p) = out_a {
                 if deliver_to_b(now) {
                     wire.push((now + latency, true, p));
                 }
             }
             let (eb, out_b) = b.poll(now);
-            for e in eb {
+            if let Some(e) = eb {
                 ev_b.push((now, e));
             }
-            for p in out_b {
+            if let Some(p) = out_b {
                 wire.push((now + latency, false, p));
             }
         }
@@ -463,12 +463,12 @@ mod tests {
         // Now silence b by not delivering anything further: simulate by
         // polling only a beyond its detection deadline.
         let down_deadline = a.next_wakeup().unwrap();
-        let (events, _) = a.poll(down_deadline);
+        let (event, _) = a.poll(down_deadline);
         let _ = cut;
         // Depending on which timer fires first we may need to advance to
         // the detection deadline specifically.
-        let mut all = events;
-        while all.is_empty() {
+        let mut all = event;
+        while all.is_none() {
             let now = a.next_wakeup().expect("session must keep timers while Up");
             let (e, _) = a.poll(now);
             all = e;
@@ -477,7 +477,7 @@ mod tests {
                 "detection must fire within detect_mult x interval"
             );
         }
-        assert_eq!(all, vec![BfdEvent::Down(BfdDiag::DetectionTimeExpired)]);
+        assert_eq!(all, Some(BfdEvent::Down(BfdDiag::DetectionTimeExpired)));
         assert_eq!(a.state(), BfdState::Down);
     }
 
@@ -500,8 +500,8 @@ mod tests {
         let mut now;
         loop {
             now = a.next_wakeup().unwrap();
-            let (events, _) = a.poll(now);
-            if events.contains(&BfdEvent::Down(BfdDiag::DetectionTimeExpired)) {
+            let (event, _) = a.poll(now);
+            if event == Some(BfdEvent::Down(BfdDiag::DetectionTimeExpired)) {
                 break;
             }
             assert!(now < t_fail + SimDuration::from_millis(200), "runaway");
@@ -528,15 +528,10 @@ mod tests {
         assert_eq!(ev, Some(BfdEvent::Down(BfdDiag::AdministrativelyDown)));
         // b transmits AdminDown; a must go Down with NeighborSignaledDown
         // and *not* bounce through Init back to Up.
-        let (_, pkts) = b.poll(SimTime::from_secs(5) + SimDuration::from_millis(40));
-        let mut a_events = Vec::new();
-        for p in &pkts {
-            a_events.extend(a.on_packet(p, SimTime::from_secs(5) + SimDuration::from_millis(41)));
-        }
-        assert_eq!(
-            a_events,
-            vec![BfdEvent::Down(BfdDiag::NeighborSignaledDown)]
-        );
+        let (_, pkt) = b.poll(SimTime::from_secs(5) + SimDuration::from_millis(40));
+        let pkt = pkt.expect("AdminDown packet due");
+        let a_event = a.on_packet(&pkt, SimTime::from_secs(5) + SimDuration::from_millis(41));
+        assert_eq!(a_event, Some(BfdEvent::Down(BfdDiag::NeighborSignaledDown)));
         assert_eq!(a.state(), BfdState::Down);
     }
 
@@ -569,7 +564,7 @@ mod tests {
             ..peer
         };
         let ev = s.on_packet(&peer_init, SimTime::from_millis(10));
-        assert_eq!(ev, vec![BfdEvent::Up]);
+        assert_eq!(ev, Some(BfdEvent::Up));
         assert_eq!(s.tx_interval(), SimDuration::from_millis(30));
         assert_eq!(s.detection_time(), SimDuration::from_millis(90));
     }
@@ -599,7 +594,7 @@ mod tests {
             desired_min_tx_us: 30_000,
             required_min_rx_us: 30_000,
         };
-        assert!(s.on_packet(&pkt, SimTime::ZERO).is_empty());
+        assert!(s.on_packet(&pkt, SimTime::ZERO).is_none());
         assert_eq!(s.packets_received, 0);
         assert_eq!(s.state(), BfdState::Down);
     }

@@ -24,9 +24,7 @@ use sc_bgp::PeerId;
 // sc-check: allow(layering) -- the controller still drives channels directly; unpicking this is the ROADMAP sans-io refactor
 use sc_net::channel::{ChannelConfig, ChannelEvent};
 use sc_net::wire::udp::port as udp_port;
-use sc_net::wire::{
-    open_udp_frame, udp_frame, ArpOp, ArpRepr, EtherType, EthernetRepr, UdpEndpoints,
-};
+use sc_net::wire::{peek_udp_frame, ArpOp, ArpRepr, EtherType, EthernetRepr, UdpEndpoints};
 use sc_net::{MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::{FlowModCommand, OfMessage};
 use sc_openflow::{Action, FlowMatch};
@@ -145,6 +143,14 @@ pub struct ControllerStats {
     /// Batches abandoned after `max_flowmod_attempts` — each one flips
     /// the controller into its degraded state until an ack returns.
     pub flowmod_giveups: u64,
+    /// Delivered OpenFlow messages that failed to decode.
+    pub of_malformed: u64,
+    /// Datagrams to the BFD port from a BFD peer that failed
+    /// control-packet validation.
+    pub bfd_malformed: u64,
+    /// Delivered BGP messages (router- or peer-facing) that failed to
+    /// decode.
+    pub bgp_malformed: u64,
 }
 
 /// One flow-mod batch awaiting its barrier ack.
@@ -293,9 +299,15 @@ impl Controller {
     /// robustness stats — into a metrics registry. Call once, after a
     /// run: the counters are totals, not deltas.
     pub fn fold_metrics(&self, reg: &mut sc_net::metrics::Registry) {
+        reg.add("ctl.of_malformed", self.stats.of_malformed);
+        reg.add("ctl.bfd_malformed", self.stats.bfd_malformed);
+        reg.add("ctl.bgp_malformed", self.stats.bgp_malformed);
+        self.switch_chan.fold_metrics(reg);
+        self.router_chan.fold_metrics(reg);
         self.router_session.fold_metrics(reg);
         for p in &self.peers {
             p.session.fold_metrics(reg);
+            p.chan.fold_metrics(reg);
             if let Some(bfd) = &p.bfd {
                 bfd.fold_metrics(reg);
             }
@@ -598,22 +610,11 @@ impl Controller {
         let Some(bfd) = self.peers[idx].bfd.as_mut() else {
             return;
         };
-        let (events, packets) = bfd.poll(now);
+        let (event, packet) = bfd.poll(now);
         let next = bfd.next_wakeup();
-        let link = self.peers[idx].link;
-        for pkt in packets {
-            let frame = udp_frame(
-                UdpEndpoints {
-                    src_mac: self.cfg.mac,
-                    dst_mac: link.spec.mac,
-                    src_ip: self.cfg.ip,
-                    dst_ip: link.spec.id,
-                    src_port: udp_port::BFD_CONTROL,
-                    dst_port: udp_port::BFD_CONTROL,
-                },
-                255,
-                &pkt.to_bytes(),
-            );
+        if let Some(pkt) = packet {
+            let spec = self.peers[idx].link.spec;
+            let frame = pkt.frame(self.cfg.mac, self.cfg.ip, spec.mac, spec.id);
             ctx.send_frame(self.switch_port(), frame);
         }
         if let Some(at) = next {
@@ -625,7 +626,7 @@ impl Controller {
                 );
             }
         }
-        for ev in events {
+        if let Some(ev) = event {
             self.on_bfd_event(idx, ev, ctx);
         }
     }
@@ -922,7 +923,7 @@ impl Node for Controller {
                 return;
             }
         }
-        let Ok(Some(d)) = open_udp_frame(&frame) else {
+        let Ok(Some(d)) = peek_udp_frame(&frame) else {
             return;
         };
         if d.ip.dst != self.cfg.ip {
@@ -936,11 +937,10 @@ impl Node for Controller {
             for ev in events {
                 match ev {
                     ChannelEvent::Connected => {}
-                    ChannelEvent::Delivered(bytes) => {
-                        if let Ok((_xid, msg)) = OfMessage::decode(&bytes) {
-                            self.handle_of_message(ctx, msg);
-                        }
-                    }
+                    ChannelEvent::Delivered(bytes) => match OfMessage::decode(&bytes) {
+                        Ok((_xid, msg)) => self.handle_of_message(ctx, msg),
+                        Err(_) => self.stats.of_malformed += 1,
+                    },
                     ChannelEvent::PeerClosed => {}
                 }
             }
@@ -953,13 +953,15 @@ impl Node for Controller {
                 .iter()
                 .position(|p| p.link.spec.id == d.ip.src && p.bfd.is_some())
             {
-                if let Ok(pkt) = sc_bfd::BfdPacket::parse(&d.payload) {
-                    let events = self.peers[idx].bfd.as_mut().unwrap().on_packet(&pkt, now);
-                    for ev in events {
-                        self.on_bfd_event(idx, ev, ctx);
-                    }
-                    self.pump_bfd(idx, ctx);
+                let Ok(pkt) = sc_bfd::BfdPacket::parse(d.payload) else {
+                    self.stats.bfd_malformed += 1;
+                    return;
+                };
+                let event = self.peers[idx].bfd.as_mut().unwrap().on_packet(&pkt, now);
+                if let Some(ev) = event {
+                    self.on_bfd_event(idx, ev, ctx);
                 }
+                self.pump_bfd(idx, ctx);
             }
             return;
         }
@@ -970,11 +972,10 @@ impl Node for Controller {
             for ev in events {
                 match ev {
                     ChannelEvent::Connected => self.router_session.start(now),
-                    ChannelEvent::Delivered(bytes) => {
-                        if let Ok(msg) = BgpMessage::decode(&bytes) {
-                            session_events.extend(self.router_session.on_message(msg, now));
-                        }
-                    }
+                    ChannelEvent::Delivered(bytes) => match BgpMessage::decode(&bytes) {
+                        Ok(msg) => session_events.extend(self.router_session.on_message(msg, now)),
+                        Err(_) => self.stats.bgp_malformed += 1,
+                    },
                     ChannelEvent::PeerClosed => {
                         if let Some(ev) = self.router_session.stop(DownReason::AdminDown) {
                             session_events.push(ev);
@@ -993,11 +994,12 @@ impl Node for Controller {
             for ev in events {
                 match ev {
                     ChannelEvent::Connected => self.peers[idx].session.start(now),
-                    ChannelEvent::Delivered(bytes) => {
-                        if let Ok(msg) = BgpMessage::decode(&bytes) {
+                    ChannelEvent::Delivered(bytes) => match BgpMessage::decode(&bytes) {
+                        Ok(msg) => {
                             session_events.extend(self.peers[idx].session.on_message(msg, now));
                         }
-                    }
+                        Err(_) => self.stats.bgp_malformed += 1,
+                    },
                     ChannelEvent::PeerClosed => {
                         if let Some(ev) = self.peers[idx].session.stop(DownReason::AdminDown) {
                             session_events.push(ev);

@@ -354,9 +354,11 @@ impl Endpoint {
         Ok(events)
     }
 
-    /// Ask the endpoint for the next segment to put on the wire, if any.
-    /// Call repeatedly until it returns `None`. Deterministic in `now`.
-    pub fn poll_transmit(&mut self, now: SimTime) -> Option<Vec<u8>> {
+    /// Append the next segment due on the wire to `out`, if any; false
+    /// when nothing is due. Call repeatedly until it returns false.
+    /// Deterministic in `now`. Encoding straight into the caller's
+    /// buffer lets the owner build the whole frame in place.
+    pub fn poll_transmit(&mut self, now: SimTime, out: &mut Vec<u8>) -> bool {
         // 1. Handshake segments.
         match self.state {
             ChannelState::SynSent => {
@@ -365,11 +367,12 @@ impl Endpoint {
                         self.stats.retransmits += 1;
                     }
                     self.syn_last_sent = Some(now);
-                    return Some(self.encode(FLAG_SYN, 0, &[]));
+                    self.encode(FLAG_SYN, 0, &[], out);
+                    return true;
                 }
-                return None; // no data before establishment
+                return false; // no data before establishment
             }
-            ChannelState::Listen => return None,
+            ChannelState::Listen => return false,
             _ => {}
         }
 
@@ -400,9 +403,9 @@ impl Endpoint {
                         } else {
                             FLAG_DATA | FLAG_ACK
                         } | syn_mark;
-                        let seg = encode_segment(flags, item.seq, self.recv_next, &item.payload);
+                        encode_segment(flags, item.seq, self.recv_next, &item.payload, out);
                         self.ack_pending = false;
-                        return Some(seg);
+                        return true;
                     }
                 }
                 None => {
@@ -416,9 +419,9 @@ impl Endpoint {
                     } else {
                         FLAG_DATA | FLAG_ACK
                     } | syn_mark;
-                    let seg = encode_segment(flags, item.seq, self.recv_next, &item.payload);
+                    encode_segment(flags, item.seq, self.recv_next, &item.payload, out);
                     self.ack_pending = false;
-                    return Some(seg);
+                    return true;
                 }
             }
         }
@@ -428,10 +431,11 @@ impl Endpoint {
         if self.ack_pending {
             self.ack_pending = false;
             self.stats.segments_sent += 1;
-            return Some(self.encode(FLAG_ACK | syn_mark, 0, &[]));
+            self.encode(FLAG_ACK | syn_mark, 0, &[], out);
+            return true;
         }
 
-        None
+        false
     }
 
     /// Earliest instant at which [`Endpoint::poll_transmit`] could have
@@ -463,20 +467,18 @@ impl Endpoint {
         }
     }
 
-    fn encode(&mut self, flags: u8, seq: u64, payload: &[u8]) -> Vec<u8> {
+    fn encode(&mut self, flags: u8, seq: u64, payload: &[u8], out: &mut Vec<u8>) {
         self.stats.segments_sent += 1;
-        encode_segment(flags, seq, self.recv_next, payload)
+        encode_segment(flags, seq, self.recv_next, payload, out);
     }
 }
 
-fn encode_segment(flags: u8, seq: u64, ack: u64, payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(SEGMENT_HEADER_LEN + payload.len());
-    buf.push(flags);
-    buf.extend_from_slice(&seq.to_be_bytes());
-    buf.extend_from_slice(&ack.to_be_bytes());
-    buf.extend_from_slice(&(payload.len() as u16).to_be_bytes());
-    buf.extend_from_slice(payload);
-    buf
+fn encode_segment(flags: u8, seq: u64, ack: u64, payload: &[u8], out: &mut Vec<u8>) {
+    out.push(flags);
+    out.extend_from_slice(&seq.to_be_bytes());
+    out.extend_from_slice(&ack.to_be_bytes());
+    out.extend_from_slice(&(payload.len() as u16).to_be_bytes());
+    out.extend_from_slice(payload);
 }
 
 #[cfg(test)]
@@ -485,6 +487,18 @@ mod tests {
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
+    }
+
+    /// The next segment due, as its own buffer.
+    fn next_seg(ep: &mut Endpoint, now: SimTime) -> Option<Vec<u8>> {
+        let mut seg = Vec::new();
+        ep.poll_transmit(now, &mut seg).then_some(seg)
+    }
+
+    fn segment(flags: u8, seq: u64, ack: u64, payload: &[u8]) -> Vec<u8> {
+        let mut seg = Vec::new();
+        encode_segment(flags, seq, ack, payload, &mut seg);
+        seg
     }
 
     /// Drive both endpoints until neither has anything to transmit,
@@ -500,14 +514,14 @@ mod tests {
         let mut n = 0;
         loop {
             let mut progressed = false;
-            while let Some(seg) = a.poll_transmit(now) {
+            while let Some(seg) = next_seg(a, now) {
                 progressed = true;
                 if !lose(n) {
                     ev_b.extend(b.on_segment(&seg, now).unwrap());
                 }
                 n += 1;
             }
-            while let Some(seg) = b.poll_transmit(now) {
+            while let Some(seg) = next_seg(b, now) {
                 progressed = true;
                 if !lose(n) {
                     ev_a.extend(a.on_segment(&seg, now).unwrap());
@@ -592,11 +606,11 @@ mod tests {
         let mut b = Endpoint::listen(ChannelConfig::default());
         a.send(b"msg".to_vec());
         // Capture the data segment and deliver it twice.
-        let syn = a.poll_transmit(t(0)).unwrap();
+        let syn = next_seg(&mut a, t(0)).unwrap();
         b.on_segment(&syn, t(0)).unwrap();
-        let synack = b.poll_transmit(t(0)).unwrap();
+        let synack = next_seg(&mut b, t(0)).unwrap();
         a.on_segment(&synack, t(0)).unwrap();
-        let data = a.poll_transmit(t(0)).unwrap();
+        let data = next_seg(&mut a, t(0)).unwrap();
         let ev1 = b.on_segment(&data, t(0)).unwrap();
         let ev2 = b.on_segment(&data, t(0)).unwrap();
         assert_eq!(
@@ -621,8 +635,8 @@ mod tests {
         pump(&mut a, &mut b, t(0), |_| false);
         a.send(b"A".to_vec());
         a.send(b"B".to_vec());
-        let s1 = a.poll_transmit(t(1)).unwrap();
-        let s2 = a.poll_transmit(t(1)).unwrap();
+        let s1 = next_seg(&mut a, t(1)).unwrap();
+        let s2 = next_seg(&mut a, t(1)).unwrap();
         // Deliver in reverse order.
         let ev_first = b.on_segment(&s2, t(2)).unwrap();
         assert!(ev_first
@@ -653,7 +667,7 @@ mod tests {
         }
         // Without ACKs coming back, only `window` data segments emerge.
         let mut sent = 0;
-        while let Some(_seg) = a.poll_transmit(t(1)) {
+        while let Some(_seg) = next_seg(&mut a, t(1)) {
             sent += 1;
             assert!(sent <= 2, "window must cap in-flight segments");
         }
@@ -687,7 +701,7 @@ mod tests {
         };
         let mut a = Endpoint::connect(cfg);
         assert_eq!(a.next_wakeup(), None, "nothing sent yet");
-        let _syn = a.poll_transmit(t(5)).unwrap();
+        let _syn = next_seg(&mut a, t(5)).unwrap();
         assert_eq!(a.next_wakeup(), Some(t(105)));
     }
 
@@ -696,7 +710,7 @@ mod tests {
         let mut a = Endpoint::listen(ChannelConfig::default());
         assert!(a.on_segment(&[0u8; 5], t(0)).is_err());
         // Length field larger than buffer.
-        let mut seg = encode_segment(FLAG_DATA, 0, 0, b"xy");
+        let mut seg = segment(FLAG_DATA, 0, 0, b"xy");
         seg[18] = 200;
         assert!(a.on_segment(&seg, t(0)).is_err());
     }
@@ -716,8 +730,8 @@ mod tests {
         // opener's handshake (the old failure mode: Connected fired,
         // then every new-epoch message died as a "duplicate").
         let mut a2 = Endpoint::connect(ChannelConfig::default());
-        let _syn = a2.poll_transmit(t(1000)).unwrap();
-        let stale_ack = encode_segment(FLAG_ACK, 0, 42, &[]);
+        let _syn = next_seg(&mut a2, t(1000)).unwrap();
+        let stale_ack = segment(FLAG_ACK, 0, 42, &[]);
         let ev = a2.on_segment(&stale_ack, t(1001)).unwrap();
         assert!(
             !ev.contains(&ChannelEvent::Connected),
@@ -727,7 +741,7 @@ mod tests {
 
         // The new SYN reaching the stale established server kills the
         // old connection (PeerClosed) instead of being "re-ACKed".
-        let syn = a2.poll_transmit(t(1200)).unwrap();
+        let syn = next_seg(&mut a2, t(1200)).unwrap();
         let ev = b.on_segment(&syn, t(1201)).unwrap();
         assert_eq!(ev, vec![ChannelEvent::PeerClosed]);
         assert_eq!(b.state(), ChannelState::Closed);

@@ -16,7 +16,12 @@
 //!   so steady-state forwarding (probe template shared → router
 //!   copy-on-write → sink read → drop) performs **zero allocations**
 //!   per packet: the copy-on-write pops the `Arc` the previous packet
-//!   returned.
+//!   returned;
+//! * [`Frame::build`] encodes a fresh frame straight into a recycled
+//!   buffer, so control packets (BFD, and the BGP/OpenFlow channel
+//!   segments via [`crate::wire::udp_frame_into`]) are zero-allocation
+//!   in steady state too: the receiver's drop returns the buffer the
+//!   next transmission pops.
 //!
 //! `Deref<Target = [u8]>` keeps every parser call site (`parse(&frame)`)
 //! untouched.
@@ -37,6 +42,17 @@ thread_local! {
     static POOL: RefCell<Vec<Arc<Vec<u8>>>> = const { RefCell::new(Vec::new()) };
 }
 
+/// A cleared sole-holder buffer: a pooled one when available (pooled
+/// arcs are sole-holder by construction, so `get_mut` succeeds), else
+/// a fresh allocation.
+fn recycled() -> Arc<Vec<u8>> {
+    let mut arc = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+    Arc::get_mut(&mut arc)
+        .expect("pooled arc is sole-holder")
+        .clear();
+    arc
+}
+
 /// A shared immutable-until-written frame buffer.
 ///
 /// The inner `Option` is an implementation detail of buffer recycling
@@ -49,6 +65,15 @@ impl Frame {
     /// Wrap an encoded frame.
     pub fn new(bytes: Vec<u8>) -> Frame {
         Frame(Some(Arc::new(bytes)))
+    }
+
+    /// Encode a frame in place: `fill` writes the bytes into a cleared
+    /// buffer popped from the recycle pool (a fresh one only when the
+    /// pool is empty), so a steady-state sender allocates nothing.
+    pub fn build(fill: impl FnOnce(&mut Vec<u8>)) -> Frame {
+        let mut arc = recycled();
+        fill(Arc::get_mut(&mut arc).expect("pooled arc is sole-holder"));
+        Frame(Some(arc))
     }
 
     #[inline]
@@ -64,12 +89,11 @@ impl Frame {
         // No weak refs exist anywhere in the workspace, so strong_count
         // is the whole sharing story.
         if Arc::strong_count(self.arc()) > 1 {
-            // Copy-on-write backed by the recycle pool: pooled arcs are
-            // sole-holder by construction, so `get_mut` succeeds.
-            let mut arc = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
-            let buf = Arc::get_mut(&mut arc).expect("pooled arc is sole-holder");
-            buf.clear();
-            buf.extend_from_slice(self.arc());
+            // Copy-on-write backed by the recycle pool.
+            let mut arc = recycled();
+            Arc::get_mut(&mut arc)
+                .expect("pooled arc is sole-holder")
+                .extend_from_slice(self.arc());
             self.0 = Some(arc);
         }
         Arc::get_mut(self.0.as_mut().expect("frame already retired"))
@@ -134,12 +158,6 @@ impl From<Vec<u8>> for Frame {
     }
 }
 
-impl From<&[u8]> for Frame {
-    fn from(bytes: &[u8]) -> Frame {
-        Frame::new(bytes.to_vec())
-    }
-}
-
 impl fmt::Debug for Frame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Frame[{}; rc={}]", self.arc().len(), self.ref_count())
@@ -193,6 +211,21 @@ mod tests {
         a.make_mut()[0] = 9;
         assert_eq!(a.as_ptr(), recycled_ptr, "CoW popped the pooled buffer");
         assert_eq!(&*a, &[9, 2, 3]);
+    }
+
+    #[test]
+    fn build_writes_into_a_recycled_buffer() {
+        let recycled_ptr = {
+            let f = Frame::new(vec![7u8; 64]);
+            f.as_ptr()
+        }; // dropped -> pooled
+        let f = Frame::build(|buf| {
+            assert!(buf.is_empty(), "pooled buffer handed out cleared");
+            buf.extend_from_slice(&[1, 2, 3]);
+        });
+        assert_eq!(f.as_ptr(), recycled_ptr, "build popped the pooled buffer");
+        assert_eq!(&*f, &[1, 2, 3]);
+        assert_eq!(f.ref_count(), 1);
     }
 
     #[test]

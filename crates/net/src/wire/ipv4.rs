@@ -67,25 +67,25 @@ impl Ipv4Repr {
         Ok((repr, &buf[HEADER_LEN..total_len]))
     }
 
-    /// Serialize header + payload into a packet, computing the checksum.
-    pub fn to_packet(&self, payload: &[u8]) -> Vec<u8> {
-        let total = HEADER_LEN + payload.len();
+    /// Write the header into the first [`HEADER_LEN`] bytes of `hdr`,
+    /// with the total length of a `payload_len`-byte payload and the
+    /// header checksum.
+    pub fn emit(&self, hdr: &mut [u8], payload_len: usize) {
+        let total = HEADER_LEN + payload_len;
         assert!(total <= u16::MAX as usize, "ipv4 packet too large");
-        let mut buf = vec![0u8; total];
-        buf[0] = 0x45; // version 4, IHL 5
-        buf[1] = self.tos;
-        put16(&mut buf, 2, total as u16);
-        put16(&mut buf, 4, self.ident);
+        hdr[0] = 0x45; // version 4, IHL 5
+        hdr[1] = self.tos;
+        put16(hdr, 2, total as u16);
+        put16(hdr, 4, self.ident);
         // flags/fragment offset: DF set, never fragmented in this model.
-        put16(&mut buf, 6, 0x4000);
-        buf[8] = self.ttl;
-        buf[9] = self.protocol;
-        buf[12..16].copy_from_slice(&self.src.octets());
-        buf[16..20].copy_from_slice(&self.dst.octets());
-        let c = checksum::checksum(&buf[..HEADER_LEN]);
-        put16(&mut buf, 10, c);
-        buf[HEADER_LEN..].copy_from_slice(payload);
-        buf
+        put16(hdr, 6, 0x4000);
+        hdr[8] = self.ttl;
+        hdr[9] = self.protocol;
+        put16(hdr, 10, 0);
+        hdr[12..16].copy_from_slice(&self.src.octets());
+        hdr[16..20].copy_from_slice(&self.dst.octets());
+        let c = checksum::checksum(&hdr[..HEADER_LEN]);
+        put16(hdr, 10, c);
     }
 
     /// Decrement the TTL of an already-encoded packet in place,
@@ -126,6 +126,14 @@ impl Ipv4Repr {
 mod tests {
     use super::*;
 
+    /// Header + payload as one packet.
+    fn packet(repr: &Ipv4Repr, payload: &[u8]) -> Vec<u8> {
+        let mut pkt = vec![0u8; HEADER_LEN];
+        repr.emit(&mut pkt, payload.len());
+        pkt.extend_from_slice(payload);
+        pkt
+    }
+
     fn sample() -> Ipv4Repr {
         Ipv4Repr {
             src: Ipv4Addr::new(203, 0, 113, 10),
@@ -140,7 +148,7 @@ mod tests {
     #[test]
     fn roundtrip() {
         let repr = sample();
-        let pkt = repr.to_packet(b"data!");
+        let pkt = packet(&repr, b"data!");
         let (parsed, payload) = Ipv4Repr::parse(&pkt).unwrap();
         assert_eq!(parsed, repr);
         assert_eq!(payload, b"data!");
@@ -148,20 +156,20 @@ mod tests {
 
     #[test]
     fn checksum_validated() {
-        let mut pkt = sample().to_packet(b"x");
+        let mut pkt = packet(&sample(), b"x");
         pkt[8] ^= 0xff; // corrupt TTL without fixing checksum
         assert_eq!(Ipv4Repr::parse(&pkt), Err(WireError::BadChecksum("ipv4")));
     }
 
     #[test]
     fn version_and_options_rejected() {
-        let mut pkt = sample().to_packet(b"");
+        let mut pkt = packet(&sample(), b"");
         pkt[0] = 0x65; // version 6
         assert_eq!(
             Ipv4Repr::parse(&pkt),
             Err(WireError::Unsupported("ip version"))
         );
-        let mut pkt = sample().to_packet(b"");
+        let mut pkt = packet(&sample(), b"");
         pkt[0] = 0x46; // IHL 6 => options present
         assert_eq!(
             Ipv4Repr::parse(&pkt),
@@ -172,7 +180,7 @@ mod tests {
     #[test]
     fn total_length_respected() {
         let repr = sample();
-        let pkt = repr.to_packet(b"abcdef");
+        let pkt = packet(&repr, b"abcdef");
         // Frame padded past total_length (Ethernet min-size padding):
         // payload must be trimmed to the header's total_length.
         let mut padded = pkt.clone();
@@ -185,7 +193,7 @@ mod tests {
 
     #[test]
     fn ttl_decrement_keeps_checksum_valid() {
-        let mut pkt = sample().to_packet(b"payload");
+        let mut pkt = packet(&sample(), b"payload");
         for expected in (0..64u8).rev() {
             let got = Ipv4Repr::decrement_ttl(&mut pkt).unwrap();
             assert_eq!(got, expected);
@@ -198,7 +206,7 @@ mod tests {
 
     #[test]
     fn peek_dst_fast_path() {
-        let pkt = sample().to_packet(b"");
+        let pkt = packet(&sample(), b"");
         assert_eq!(Ipv4Repr::peek_dst(&pkt).unwrap(), Ipv4Addr::new(1, 0, 0, 1));
         assert!(Ipv4Repr::peek_dst(&pkt[..10]).is_err());
     }

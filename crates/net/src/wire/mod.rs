@@ -5,7 +5,12 @@
 //!
 //! * a `Repr` struct — the parsed, validated, high-level representation;
 //! * `Repr::parse(&[u8]) -> Result<(Repr, payload), WireError>`;
-//! * `Repr::emit(&mut Vec<u8>)` / `Repr::to_bytes(payload)` to serialize.
+//! * `Repr::emit(&mut [u8], ..)` to write the header in place (ARP's
+//!   fixed-size body also has `to_bytes`).
+//!
+//! [`udp_frame_into`] composes the three UDP-stack emitters over one
+//! buffer: the payload is encoded in place and the headers written around
+//! it, so no layer copies another layer's bytes.
 //!
 //! All multi-byte fields are network byte order. Parsers never panic on
 //! malformed input — every length and field is checked and reported via
@@ -20,7 +25,9 @@ pub mod udp;
 pub use arp::{ArpOp, ArpRepr};
 pub use ethernet::{EtherType, EthernetRepr};
 pub use ipv4::Ipv4Repr;
-pub use stack::{open_udp_frame, peek_udp_frame, udp_frame, UdpDatagram, UdpEndpoints};
+pub use stack::{
+    peek_udp_frame, udp_frame, udp_frame_into, UdpDatagram, UdpEndpoints, UDP_HEADERS_LEN,
+};
 pub use udp::UdpRepr;
 
 use std::fmt;

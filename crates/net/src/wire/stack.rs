@@ -2,12 +2,16 @@
 //!
 //! Every control-plane node (router, controller, BFD agent) exchanges UDP
 //! datagrams; these helpers build and open the full frame in one call so
-//! the per-node code stays focused on its protocol logic.
+//! the per-node code stays focused on its protocol logic. Both directions
+//! are copy-free: [`udp_frame_into`] lets the caller encode the payload
+//! straight into the frame buffer, and [`peek_udp_frame`] hands the
+//! payload back by borrow.
 
 use super::ethernet::{EtherType, EthernetRepr};
 use super::ipv4::{protocol, Ipv4Repr};
 use super::udp::UdpRepr;
 use super::WireError;
+use crate::frame::Frame;
 use crate::mac::MacAddr;
 use std::net::Ipv4Addr;
 
@@ -36,73 +40,97 @@ impl UdpEndpoints {
     }
 }
 
-/// A fully decapsulated UDP datagram.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UdpDatagram {
+/// A decapsulated UDP datagram, borrowing its payload from the frame.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UdpDatagram<'a> {
     pub eth: EthernetRepr,
     pub ip: Ipv4Repr,
     pub udp: UdpRepr,
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-/// Build an Ethernet/IPv4/UDP frame around `payload`.
-pub fn udp_frame(ep: UdpEndpoints, ttl: u8, payload: &[u8]) -> Vec<u8> {
-    let udp = UdpRepr {
+impl<'a> UdpDatagram<'a> {
+    /// Finish decapsulating an already-parsed IPv4 packet: validates
+    /// the UDP layer against `ip`'s pseudo-header. `Ok(None)` when the
+    /// packet is well-formed but not UDP.
+    pub fn open(
+        eth: EthernetRepr,
+        ip: Ipv4Repr,
+        ip_payload: &'a [u8],
+    ) -> Result<Option<UdpDatagram<'a>>, WireError> {
+        if ip.protocol != protocol::UDP {
+            return Ok(None);
+        }
+        let (udp, payload) = UdpRepr::parse(ip.src, ip.dst, ip_payload)?;
+        Ok(Some(UdpDatagram {
+            eth,
+            ip,
+            udp,
+            payload,
+        }))
+    }
+}
+
+/// Bytes of Ethernet + IPv4 + UDP header in front of every datagram
+/// payload.
+pub const UDP_HEADERS_LEN: usize =
+    super::ethernet::HEADER_LEN + super::ipv4::HEADER_LEN + super::udp::HEADER_LEN;
+
+/// Encode an Ethernet/IPv4/UDP frame into `buf` in one pass: `buf` is
+/// cleared and sized for the three headers, `payload` appends the
+/// datagram payload in place, then the headers are written around it —
+/// both length fields and both checksums included. No intermediate
+/// segment or packet buffer exists.
+pub fn udp_frame_into(
+    buf: &mut Vec<u8>,
+    ep: UdpEndpoints,
+    ttl: u8,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
+    buf.clear();
+    buf.resize(UDP_HEADERS_LEN, 0);
+    payload(buf);
+    let (eth, packet) = buf.split_at_mut(super::ethernet::HEADER_LEN);
+    let (ip, segment) = packet.split_at_mut(super::ipv4::HEADER_LEN);
+    UdpRepr {
         src_port: ep.src_port,
         dst_port: ep.dst_port,
-    };
-    let segment = udp.to_segment(ep.src_ip, ep.dst_ip, payload);
-    let ip = Ipv4Repr {
+    }
+    .emit(segment, ep.src_ip, ep.dst_ip);
+    Ipv4Repr {
         src: ep.src_ip,
         dst: ep.dst_ip,
         protocol: protocol::UDP,
         ttl,
         tos: 0,
         ident: 0,
-    };
-    let packet = ip.to_packet(&segment);
+    }
+    .emit(ip, segment.len());
     EthernetRepr {
         dst: ep.dst_mac,
         src: ep.src_mac,
         ethertype: EtherType::Ipv4,
     }
-    .to_frame(&packet)
+    .emit(eth);
 }
 
-/// The borrowed view [`peek_udp_frame`] returns: the three parsed
-/// header layers plus the payload slice, no copies.
-pub type UdpView<'a> = (EthernetRepr, Ipv4Repr, UdpRepr, &'a [u8]);
+/// A [`Frame`] carrying `payload` (built by [`udp_frame_into`] in a
+/// recycled buffer).
+pub fn udp_frame(ep: UdpEndpoints, ttl: u8, payload: &[u8]) -> Frame {
+    Frame::build(|buf| udp_frame_into(buf, ep, ttl, |p| p.extend_from_slice(payload)))
+}
 
-/// Parse the Ethernet/IPv4/UDP layers of a frame *without copying the
-/// payload* — identical validation to [`open_udp_frame`], returned by
-/// borrow. Hot-path receivers that only need addressing (the traffic
-/// sink's CAM match) use this; control-plane code that hands the
-/// payload onward keeps the owned [`open_udp_frame`].
-pub fn peek_udp_frame(frame: &[u8]) -> Result<Option<UdpView<'_>>, WireError> {
+/// Parse the Ethernet/IPv4/UDP layers of a frame, validating all three
+/// (both checksums included), without copying the payload. Returns
+/// `Ok(None)` if the frame is well-formed but *not* UDP-over-IPv4 (e.g.
+/// ARP), so callers can fall through to other handlers.
+pub fn peek_udp_frame(frame: &[u8]) -> Result<Option<UdpDatagram<'_>>, WireError> {
     let (eth, eth_payload) = EthernetRepr::parse(frame)?;
     if eth.ethertype != EtherType::Ipv4 {
         return Ok(None);
     }
     let (ip, ip_payload) = Ipv4Repr::parse(eth_payload)?;
-    if ip.protocol != protocol::UDP {
-        return Ok(None);
-    }
-    let (udp, payload) = UdpRepr::parse(ip.src, ip.dst, ip_payload)?;
-    Ok(Some((eth, ip, udp, payload)))
-}
-
-/// Open a frame expected to be Ethernet/IPv4/UDP; validates all layers.
-/// Returns `Ok(None)` if the frame is well-formed but *not* UDP-over-IPv4
-/// (e.g. ARP), so callers can fall through to other handlers.
-pub fn open_udp_frame(frame: &[u8]) -> Result<Option<UdpDatagram>, WireError> {
-    Ok(
-        peek_udp_frame(frame)?.map(|(eth, ip, udp, payload)| UdpDatagram {
-            eth,
-            ip,
-            udp,
-            payload: payload.to_vec(),
-        }),
-    )
+    UdpDatagram::open(eth, ip, ip_payload)
 }
 
 #[cfg(test)]
@@ -124,7 +152,7 @@ mod tests {
     fn roundtrip() {
         let ep = endpoints();
         let frame = udp_frame(ep, 64, b"bgp-update-bytes");
-        let d = open_udp_frame(&frame).unwrap().unwrap();
+        let d = peek_udp_frame(&frame).unwrap().unwrap();
         assert_eq!(d.payload, b"bgp-update-bytes");
         assert_eq!(d.udp.src_port, 179);
         assert_eq!(d.udp.dst_port, 40000);
@@ -156,14 +184,14 @@ mod tests {
             ethertype: EtherType::Arp,
         }
         .to_frame(&arp.to_bytes());
-        assert_eq!(open_udp_frame(&frame).unwrap(), None);
+        assert_eq!(peek_udp_frame(&frame).unwrap(), None);
     }
 
     #[test]
     fn corrupted_frame_is_an_error() {
-        let mut frame = udp_frame(endpoints(), 64, b"data");
+        let mut frame = udp_frame(endpoints(), 64, b"data").to_vec();
         let n = frame.len();
         frame[n - 1] ^= 0xff; // flip payload byte -> UDP checksum fails
-        assert!(open_udp_frame(&frame).is_err());
+        assert!(peek_udp_frame(&frame).is_err());
     }
 }

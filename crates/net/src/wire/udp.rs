@@ -54,19 +54,19 @@ impl UdpRepr {
         ))
     }
 
-    /// Serialize header + payload with checksum computed over the IPv4
-    /// pseudo-header.
-    pub fn to_segment(&self, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
-        let len = HEADER_LEN + payload.len();
+    /// Write the header into a segment whose payload is already in
+    /// place after the first [`HEADER_LEN`] bytes: length = the whole
+    /// segment, checksum over the IPv4 pseudo-header (a computed zero
+    /// goes on the wire as `0xffff`, RFC 768).
+    pub fn emit(&self, segment: &mut [u8], src: Ipv4Addr, dst: Ipv4Addr) {
+        let len = segment.len();
         assert!(len <= u16::MAX as usize, "udp segment too large");
-        let mut buf = vec![0u8; len];
-        put16(&mut buf, 0, self.src_port);
-        put16(&mut buf, 2, self.dst_port);
-        put16(&mut buf, 4, len as u16);
-        buf[HEADER_LEN..].copy_from_slice(payload);
-        let c = checksum::udp_checksum(src, dst, &buf);
-        put16(&mut buf, 6, c);
-        buf
+        put16(segment, 0, self.src_port);
+        put16(segment, 2, self.dst_port);
+        put16(segment, 4, len as u16);
+        put16(segment, 6, 0);
+        let c = checksum::udp_checksum(src, dst, segment);
+        put16(segment, 6, c);
     }
 }
 
@@ -77,13 +77,21 @@ mod tests {
     const SRC: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const DST: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 
+    /// Header + payload as one checksummed segment.
+    fn segment(repr: &UdpRepr, src: Ipv4Addr, dst: Ipv4Addr, payload: &[u8]) -> Vec<u8> {
+        let mut seg = vec![0u8; HEADER_LEN];
+        seg.extend_from_slice(payload);
+        repr.emit(&mut seg, src, dst);
+        seg
+    }
+
     #[test]
     fn roundtrip() {
         let repr = UdpRepr {
             src_port: 49152,
             dst_port: port::PROBE,
         };
-        let seg = repr.to_segment(SRC, DST, b"probe-payload");
+        let seg = segment(&repr, SRC, DST, b"probe-payload");
         let (parsed, payload) = UdpRepr::parse(SRC, DST, &seg).unwrap();
         assert_eq!(parsed, repr);
         assert_eq!(payload, b"probe-payload");
@@ -95,14 +103,14 @@ mod tests {
             src_port: 1,
             dst_port: 2,
         };
-        let mut seg = repr.to_segment(SRC, DST, b"abcd");
+        let mut seg = segment(&repr, SRC, DST, b"abcd");
         seg[9] ^= 0x40;
         assert_eq!(
             UdpRepr::parse(SRC, DST, &seg),
             Err(WireError::BadChecksum("udp"))
         );
         // Wrong pseudo-header (spoofed src) also fails.
-        let seg2 = repr.to_segment(SRC, DST, b"abcd");
+        let seg2 = segment(&repr, SRC, DST, b"abcd");
         assert!(UdpRepr::parse(Ipv4Addr::new(9, 9, 9, 9), DST, &seg2).is_err());
     }
 
@@ -112,7 +120,7 @@ mod tests {
             src_port: 5,
             dst_port: 6,
         };
-        let mut seg = repr.to_segment(SRC, DST, b"x");
+        let mut seg = segment(&repr, SRC, DST, b"x");
         seg[6] = 0;
         seg[7] = 0;
         let (parsed, payload) = UdpRepr::parse(SRC, DST, &seg).unwrap();
@@ -126,7 +134,7 @@ mod tests {
             src_port: 1,
             dst_port: 2,
         };
-        let seg = repr.to_segment(SRC, DST, b"abcdef");
+        let seg = segment(&repr, SRC, DST, b"abcdef");
         assert!(UdpRepr::parse(SRC, DST, &seg[..seg.len() - 1]).is_err());
         assert!(UdpRepr::parse(SRC, DST, &seg[..4]).is_err());
     }

@@ -1,13 +1,14 @@
 //! Property tests for the base crate: the trie against a naive model,
-//! parse∘emit identity for every wire format, and channel delivery
-//! under arbitrary loss.
+//! parse∘emit identity for every wire format, byte identity of the
+//! one-pass UDP frame builder against a layered reference, and channel
+//! delivery under arbitrary loss.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use sc_net::channel::{ChannelConfig, ChannelEvent, Endpoint};
 use sc_net::wire::{
-    open_udp_frame, udp_frame, ArpOp, ArpRepr, EtherType, EthernetRepr, Ipv4Repr, UdpEndpoints,
-    UdpRepr,
+    peek_udp_frame, udp_frame, udp_frame_into, ArpOp, ArpRepr, EtherType, EthernetRepr, Ipv4Repr,
+    UdpEndpoints, UdpRepr, UDP_HEADERS_LEN,
 };
 use sc_net::{Ipv4Prefix, MacAddr, PrefixTrie, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -23,6 +24,74 @@ fn arb_mac() -> impl Strategy<Value = MacAddr> {
 
 fn arb_ip() -> impl Strategy<Value = Ipv4Addr> {
     any::<u32>().prop_map(Ipv4Addr::from)
+}
+
+/// The next segment due from `ep`, as its own buffer.
+fn next_seg(ep: &mut Endpoint, now: SimTime) -> Option<Vec<u8>> {
+    let mut seg = Vec::new();
+    ep.poll_transmit(now, &mut seg).then_some(seg)
+}
+
+/// RFC 1071 checksum, written out independently of `sc_net::checksum`.
+fn reference_checksum(words: &[u8]) -> u16 {
+    let mut acc: u64 = 0;
+    for pair in words.chunks(2) {
+        let hi = pair[0] as u64;
+        let lo = pair.get(1).copied().unwrap_or(0) as u64;
+        acc += (hi << 8) | lo;
+    }
+    while acc > 0xffff {
+        acc = (acc & 0xffff) + (acc >> 16);
+    }
+    !(acc as u16)
+}
+
+/// The layered encoding `udp_frame_into` must reproduce byte for byte:
+/// a UDP segment, wrapped in an IPv4 packet, wrapped in an Ethernet
+/// frame, each built in its own buffer.
+fn layered_reference(ep: UdpEndpoints, ttl: u8, payload: &[u8]) -> Vec<u8> {
+    let udp_len = (8 + payload.len()) as u16;
+    let mut segment = Vec::new();
+    segment.extend_from_slice(&ep.src_port.to_be_bytes());
+    segment.extend_from_slice(&ep.dst_port.to_be_bytes());
+    segment.extend_from_slice(&udp_len.to_be_bytes());
+    segment.extend_from_slice(&[0, 0]);
+    segment.extend_from_slice(payload);
+    let mut pseudo = Vec::new();
+    pseudo.extend_from_slice(&ep.src_ip.octets());
+    pseudo.extend_from_slice(&ep.dst_ip.octets());
+    pseudo.extend_from_slice(&[0, 17]);
+    pseudo.extend_from_slice(&udp_len.to_be_bytes());
+    pseudo.extend_from_slice(&segment);
+    let c = match reference_checksum(&pseudo) {
+        0 => 0xffff, // RFC 768: a computed zero is sent as all ones
+        c => c,
+    };
+    segment[6..8].copy_from_slice(&c.to_be_bytes());
+
+    let mut packet = vec![0x45, 0];
+    packet.extend_from_slice(&((20 + segment.len()) as u16).to_be_bytes());
+    packet.extend_from_slice(&[0, 0, 0x40, 0, ttl, 17, 0, 0]);
+    packet.extend_from_slice(&ep.src_ip.octets());
+    packet.extend_from_slice(&ep.dst_ip.octets());
+    let c = reference_checksum(&packet);
+    packet[10..12].copy_from_slice(&c.to_be_bytes());
+    packet.extend_from_slice(&segment);
+
+    let mut frame = Vec::new();
+    frame.extend_from_slice(&ep.dst_mac.octets());
+    frame.extend_from_slice(&ep.src_mac.octets());
+    frame.extend_from_slice(&[0x08, 0x00]);
+    frame.extend_from_slice(&packet);
+    frame
+}
+
+/// `udp_frame_into` over a dirty, reused buffer (the recycled-buffer
+/// case), payload appended in place.
+fn one_pass(ep: UdpEndpoints, ttl: u8, payload: &[u8]) -> Vec<u8> {
+    let mut buf = vec![0xa5; 3000];
+    udp_frame_into(&mut buf, ep, ttl, |p| p.extend_from_slice(payload));
+    buf
 }
 
 proptest! {
@@ -96,7 +165,9 @@ proptest! {
         corrupt_at in 0usize..20, corrupt_bit in 0u8..8,
     ) {
         let repr = Ipv4Repr { src, dst, protocol: proto, ttl, tos, ident };
-        let pkt = repr.to_packet(&payload);
+        let mut pkt = vec![0u8; 20];
+        repr.emit(&mut pkt, payload.len());
+        pkt.extend_from_slice(&payload);
         let (parsed, pl) = Ipv4Repr::parse(&pkt).unwrap();
         prop_assert_eq!(parsed, repr);
         prop_assert_eq!(pl, &payload[..]);
@@ -114,7 +185,9 @@ proptest! {
     fn udp_roundtrip(src in arb_ip(), dst in arb_ip(), sp in any::<u16>(),
                      dp in any::<u16>(), payload in vec(any::<u8>(), 0..128)) {
         let repr = UdpRepr { src_port: sp, dst_port: dp };
-        let seg = repr.to_segment(src, dst, &payload);
+        let mut seg = vec![0u8; 8];
+        seg.extend_from_slice(&payload);
+        repr.emit(&mut seg, src, dst);
         let (parsed, pl) = UdpRepr::parse(src, dst, &seg).unwrap();
         prop_assert_eq!(parsed, repr);
         prop_assert_eq!(pl, &payload[..]);
@@ -130,11 +203,33 @@ proptest! {
             src_port: sp, dst_port: dp,
         };
         let frame = udp_frame(ep, 64, &payload);
-        let d = open_udp_frame(&frame).unwrap().unwrap();
-        prop_assert_eq!(d.payload, payload);
+        let d = peek_udp_frame(&frame).unwrap().unwrap();
+        prop_assert_eq!(d.payload, &payload[..]);
         prop_assert_eq!(d.ip.src, sip);
         prop_assert_eq!(d.udp.dst_port, dp);
         prop_assert_eq!(d.eth.src, smac);
+    }
+
+    /// The one-pass builder is byte-identical to the layered
+    /// Ethernet(IPv4(UDP)) encoding for any endpoints, TTL and payload
+    /// length up to a full 1500-byte MTU, and the result parses back.
+    #[test]
+    fn udp_frame_into_matches_layered_reference(
+        smac in arb_mac(), dmac in arb_mac(), sip in arb_ip(), dip in arb_ip(),
+        sp in any::<u16>(), dp in any::<u16>(), ttl in any::<u8>(),
+        len in 0usize..=1472, fill in any::<u8>(),
+    ) {
+        let ep = UdpEndpoints {
+            src_mac: smac, dst_mac: dmac, src_ip: sip, dst_ip: dip,
+            src_port: sp, dst_port: dp,
+        };
+        let payload: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+        let frame = one_pass(ep, ttl, &payload);
+        prop_assert_eq!(&frame, &layered_reference(ep, ttl, &payload));
+        prop_assert_eq!(frame.len(), UDP_HEADERS_LEN + len);
+        let d = peek_udp_frame(&frame).unwrap().unwrap();
+        prop_assert_eq!(d.payload, &payload[..]);
+        prop_assert_eq!(d.ip.ttl, ttl);
     }
 
     /// The reliable channel delivers every message exactly once, in
@@ -157,7 +252,7 @@ proptest! {
             let now = SimTime::from_millis(round * 60);
             loop {
                 let mut progressed = false;
-                while let Some(seg) = a.poll_transmit(now) {
+                while let Some(seg) = next_seg(&mut a, now) {
                     progressed = true;
                     let lose = loss_pattern[drop_idx % loss_pattern.len()];
                     drop_idx += 1;
@@ -170,7 +265,7 @@ proptest! {
                         }
                     }
                 }
-                while let Some(seg) = b.poll_transmit(now) {
+                while let Some(seg) = next_seg(&mut b, now) {
                     progressed = true;
                     let lose = loss_pattern[drop_idx % loss_pattern.len()];
                     drop_idx += 1;
@@ -218,8 +313,8 @@ proptest! {
         let mut first = true;
         for round in 0..20u64 {
             let now = SimTime::from_millis(round * 60);
-            while let Some(seg) = a.poll_transmit(now) {
-                let mut frame = udp_frame(ep, 64, &seg);
+            while let Some(seg) = next_seg(&mut a, now) {
+                let mut frame = udp_frame(ep, 64, &seg).to_vec();
                 if first {
                     // Corrupt exactly one bit of the first frame on the
                     // wire, position chosen by the fuzzer.
@@ -230,14 +325,14 @@ proptest! {
                 // The receive pipeline a node runs: parse (checksums
                 // validate here), then check addressing, then hand the
                 // segment to the channel (which drops malformed ones).
-                match open_udp_frame(&frame) {
+                match peek_udp_frame(&frame) {
                     Ok(Some(d))
                         if d.udp.dst_port == ep.dst_port
                             && d.udp.src_port == ep.src_port
                             && d.ip.src == ep.src_ip
                             && d.ip.dst == ep.dst_ip =>
                     {
-                        for ev in b.on_segment(&d.payload, now).unwrap_or_default() {
+                        for ev in b.on_segment(d.payload, now).unwrap_or_default() {
                             if let ChannelEvent::Delivered(m) = ev {
                                 delivered.push(m);
                             }
@@ -248,7 +343,7 @@ proptest! {
                     _ => {}
                 }
             }
-            while let Some(seg) = b.poll_transmit(now) {
+            while let Some(seg) = next_seg(&mut b, now) {
                 let _ = a.on_segment(&seg, now).unwrap_or_default();
             }
             if !delivered.is_empty() {
@@ -298,36 +393,91 @@ fn payload_corruption_is_detected_dropped_and_repaired_by_retransmit() {
     // (eth 14 + ip 20 + udp 8 = offset 42 onward) — the checksum must
     // catch it and the parse must fail.
     let t0 = SimTime::from_millis(0);
-    let seg = a.poll_transmit(t0).expect("segment due");
-    let mut frame = udp_frame(ep, 64, &seg);
+    let seg = next_seg(&mut a, t0).expect("segment due");
+    let mut frame = udp_frame(ep, 64, &seg).to_vec();
     frame[42] ^= 0x10;
     assert!(
-        open_udp_frame(&frame).is_err(),
+        peek_udp_frame(&frame).is_err(),
         "corrupted payload must fail the UDP checksum"
     );
     // Nothing reached the receiver; drain the rest of the first flight
     // cleanly (flow control may have split the handshake across
     // segments) without delivering — the damaged segment is simply gone.
-    while a.poll_transmit(t0).is_some() {}
+    while next_seg(&mut a, t0).is_some() {}
 
     // Past the RTO the sender retransmits; this time the wire is clean
     // and the message arrives exactly once, intact.
     let t1 = t0 + SimDuration::from_millis(120);
     let mut delivered = Vec::new();
     for _ in 0..4 {
-        while let Some(seg) = a.poll_transmit(t1) {
-            let d = open_udp_frame(&udp_frame(ep, 64, &seg))
-                .unwrap()
-                .expect("clean frame parses");
-            for ev in b.on_segment(&d.payload, t1).unwrap() {
+        while let Some(seg) = next_seg(&mut a, t1) {
+            let frame = udp_frame(ep, 64, &seg);
+            let d = peek_udp_frame(&frame).unwrap().expect("clean frame parses");
+            for ev in b.on_segment(d.payload, t1).unwrap() {
                 if let ChannelEvent::Delivered(m) = ev {
                     delivered.push(m);
                 }
             }
         }
-        while let Some(seg) = b.poll_transmit(t1) {
+        while let Some(seg) = next_seg(&mut b, t1) {
             let _ = a.on_segment(&seg, t1).unwrap();
         }
     }
     assert_eq!(delivered, vec![b"flow-mod batch 7".to_vec()]);
+}
+
+fn edge_endpoints() -> UdpEndpoints {
+    UdpEndpoints {
+        src_mac: MacAddr([2, 0, 0, 0, 0, 1]),
+        dst_mac: MacAddr([2, 0, 0, 0, 0, 2]),
+        src_ip: Ipv4Addr::new(10, 0, 0, 1),
+        dst_ip: Ipv4Addr::new(10, 0, 0, 2),
+        src_port: 3784,
+        dst_port: 3784,
+    }
+}
+
+/// The length extremes: an empty datagram and one filling a 1500-byte
+/// MTU.
+#[test]
+fn udp_frame_into_matches_reference_at_length_extremes() {
+    let ep = edge_endpoints();
+    for len in [0, 1, 1471, 1472] {
+        let payload = vec![0x5c; len];
+        assert_eq!(
+            one_pass(ep, 255, &payload),
+            layered_reference(ep, 255, &payload),
+            "len {len}"
+        );
+    }
+}
+
+/// A payload whose UDP checksum computes to zero goes on the wire as
+/// `0xffff` (RFC 768: zero would mean "no checksum").
+#[test]
+fn udp_checksum_folding_to_zero_is_sent_as_all_ones() {
+    let ep = edge_endpoints();
+    // Fix the last payload word so the one's-complement sum over the
+    // pseudo-header and segment is exactly 0xffff.
+    let mut payload = b"bfd!".to_vec();
+    payload.extend_from_slice(&[0, 0]);
+    let mut pseudo = Vec::new();
+    pseudo.extend_from_slice(&ep.src_ip.octets());
+    pseudo.extend_from_slice(&ep.dst_ip.octets());
+    let udp_len = (8 + payload.len()) as u16;
+    pseudo.extend_from_slice(&[0, 17]);
+    pseudo.extend_from_slice(&udp_len.to_be_bytes());
+    pseudo.extend_from_slice(&ep.src_port.to_be_bytes());
+    pseudo.extend_from_slice(&ep.dst_port.to_be_bytes());
+    pseudo.extend_from_slice(&udp_len.to_be_bytes());
+    pseudo.extend_from_slice(&payload);
+    let sum = !reference_checksum(&pseudo);
+    let n = payload.len();
+    payload[n - 2..].copy_from_slice(&(0xffff - sum).to_be_bytes());
+    let frame = one_pass(ep, 255, &payload);
+    let off = 14 + 20 + 6;
+    assert_eq!(&frame[off..off + 2], &[0xff, 0xff], "zero sent as all ones");
+    assert_eq!(frame, layered_reference(ep, 255, &payload));
+    let d = peek_udp_frame(&frame).unwrap().unwrap();
+    assert_eq!(d.payload, &payload[..]);
 }

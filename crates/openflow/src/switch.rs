@@ -19,7 +19,7 @@ use crate::msg::{FlowModCommand, FlowStatsRow, OfMessage};
 use crate::table::{FlowEntry, FlowStats, FlowTable};
 use crate::types::{Action, FlowKey, FlowMatch};
 use sc_net::channel::ChannelEvent;
-use sc_net::wire::{open_udp_frame, EthernetRepr};
+use sc_net::wire::{peek_udp_frame, EthernetRepr};
 use sc_net::{Frame, FxHashMap, MacAddr, SimDuration, SimTime};
 use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken};
 use std::any::Any;
@@ -578,7 +578,7 @@ impl Node for OfSwitch {
         // the controller channels' 5-tuples; everything else is data
         // plane.
         if !self.controllers.is_empty() {
-            if let Ok(Some(d)) = open_udp_frame(&frame) {
+            if let Ok(Some(d)) = peek_udp_frame(&frame) {
                 if let Some(idx) = self.controllers.iter().position(|c| c.matches(&d)) {
                     // Any datagram from the controller — data, ack or
                     // keepalive — proves its process is alive.

@@ -200,7 +200,7 @@ mod tests {
     use super::*;
     use sc_net::wire::{udp_frame, UdpEndpoints};
 
-    fn sample_frame() -> Vec<u8> {
+    fn sample_frame() -> sc_net::Frame {
         udp_frame(
             UdpEndpoints {
                 src_mac: MacAddr::new(0, 0, 0, 0, 0, 0xaa),

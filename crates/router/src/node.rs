@@ -24,10 +24,7 @@ use sc_bgp::session::{DownReason, Session, SessionConfig, SessionEvent};
 use sc_bgp::{AdjRibOut, LocRib, PeerInfo};
 use sc_net::channel::{ChannelConfig, ChannelEvent};
 use sc_net::wire::udp::port as udp_port;
-use sc_net::wire::{
-    open_udp_frame, udp_frame, ArpOp, ArpRepr, EtherType, EthernetRepr, Ipv4Repr, UdpDatagram,
-    UdpEndpoints,
-};
+use sc_net::wire::{ArpOp, ArpRepr, EtherType, EthernetRepr, Ipv4Repr, UdpDatagram, UdpEndpoints};
 use sc_net::{Frame, Ipv4Prefix, MacAddr, SimDuration, SimTime};
 use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken};
 use std::any::Any;
@@ -168,6 +165,9 @@ pub struct RouterStats {
     pub dropped_no_route: u64,
     pub dropped_ttl: u64,
     pub dropped_malformed: u64,
+    /// Datagrams to the BFD port from a BFD peer that failed
+    /// control-packet validation.
+    pub bfd_malformed: u64,
     pub dropped_no_iface: u64,
     pub arp_replies_sent: u64,
     pub updates_processed: u64,
@@ -386,11 +386,13 @@ impl LegacyRouter {
         reg.add("router.local_delivered", self.stats.local_delivered);
         reg.add("router.dropped_no_route", self.stats.dropped_no_route);
         reg.add("router.updates_processed", self.stats.updates_processed);
+        reg.add("router.bfd_malformed", self.stats.bfd_malformed);
         reg.add("flowcache.hits", self.flow_cache.hits);
         reg.add("flowcache.misses", self.flow_cache.misses);
         reg.add("flowcache.invalidated", self.flow_cache.invalidated);
         for p in &self.peers {
             p.session.fold_metrics(reg);
+            p.chan.fold_metrics(reg);
             if let Some(bfd) = &p.bfd {
                 bfd.fold_metrics(reg);
             }
@@ -701,27 +703,15 @@ impl LegacyRouter {
         let Some(bfd) = self.peers[idx].bfd.as_mut() else {
             return;
         };
-        let (events, packets) = bfd.poll(now);
+        let (event, packet) = bfd.poll(now);
         let next = bfd.next_wakeup();
-        let (peer_ip, peer_mac, iface_idx) = {
+        if let Some(pkt) = packet {
             let c = &self.peers[idx].cfg;
-            (c.peer_ip, c.peer_mac, c.iface)
-        };
-        let iface = self.interfaces[iface_idx];
-        for pkt in packets {
-            let frame = udp_frame(
-                UdpEndpoints {
-                    src_mac: iface.mac,
-                    dst_mac: peer_mac,
-                    src_ip: iface.ip,
-                    dst_ip: peer_ip,
-                    src_port: udp_port::BFD_CONTROL,
-                    dst_port: udp_port::BFD_CONTROL,
-                },
-                255,
-                &pkt.to_bytes(),
+            let iface = self.interfaces[c.iface];
+            ctx.send_frame(
+                iface.port,
+                pkt.frame(iface.mac, iface.ip, c.peer_mac, c.peer_ip),
             );
-            ctx.send_frame(iface.port, frame);
         }
         if let Some(at) = next {
             if self.peers[idx].bfd_wakeup_armed != Some(at) {
@@ -731,7 +721,7 @@ impl LegacyRouter {
                 ctx.set_timer_at(at, token);
             }
         }
-        for ev in events {
+        if let Some(ev) = event {
             self.on_bfd_event(idx, ev, ctx);
         }
     }
@@ -1209,7 +1199,7 @@ impl LegacyRouter {
         }
     }
 
-    fn deliver_local(&mut self, ctx: &mut Ctx, d: &UdpDatagram) {
+    fn deliver_local(&mut self, ctx: &mut Ctx, d: &UdpDatagram<'_>) {
         self.stats.local_delivered += 1;
         let now = ctx.now();
         // BFD control (RFC 5881 single-hop): demux by source address.
@@ -1219,13 +1209,15 @@ impl LegacyRouter {
                 .iter()
                 .position(|p| p.cfg.peer_ip == d.ip.src && p.bfd.is_some())
             {
-                if let Ok(pkt) = sc_bfd::BfdPacket::parse(&d.payload) {
-                    let events = self.peers[idx].bfd.as_mut().unwrap().on_packet(&pkt, now);
-                    for ev in events {
-                        self.on_bfd_event(idx, ev, ctx);
-                    }
-                    self.pump_bfd(idx, ctx);
+                let Ok(pkt) = sc_bfd::BfdPacket::parse(d.payload) else {
+                    self.stats.bfd_malformed += 1;
+                    return;
+                };
+                let event = self.peers[idx].bfd.as_mut().unwrap().on_packet(&pkt, now);
+                if let Some(ev) = event {
+                    self.on_bfd_event(idx, ev, ctx);
                 }
+                self.pump_bfd(idx, ctx);
             }
             return;
         }
@@ -1323,13 +1315,14 @@ impl Node for LegacyRouter {
             EtherType::Arp => self.handle_arp(ctx, port, payload),
             EtherType::Ipv4 => {
                 // Local delivery or forwarding? One parse (with header
-                // checksum validation) serves both answers.
-                let Ok((ip, _)) = Ipv4Repr::parse(payload) else {
+                // checksum validation) serves both answers, and local
+                // delivery only adds the UDP layer on top of it.
+                let Ok((ip, ip_payload)) = Ipv4Repr::parse(payload) else {
                     self.stats.dropped_malformed += 1;
                     return;
                 };
                 if self.is_local_ip(ip.dst) {
-                    match open_udp_frame(&frame) {
+                    match UdpDatagram::open(eth, ip, ip_payload) {
                         Ok(Some(d)) => self.deliver_local(ctx, &d),
                         _ => self.stats.dropped_malformed += 1,
                     }

@@ -9,8 +9,8 @@
 
 use crate::node::{Ctx, PortId, TimerToken};
 use sc_net::channel::{ChannelConfig, ChannelEvent, Endpoint};
-use sc_net::wire::{udp_frame, UdpDatagram, UdpEndpoints};
-use sc_net::SimTime;
+use sc_net::wire::{udp_frame_into, UdpDatagram, UdpEndpoints};
+use sc_net::{Frame, SimTime};
 
 /// A reliable message channel bound to a UDP endpoint pair on one port.
 #[derive(Debug)]
@@ -28,6 +28,9 @@ pub struct ChannelPort {
     pub timer: TimerToken,
     /// Deadline currently armed (avoid re-arming storms).
     armed_at: Option<SimTime>,
+    /// Matching datagrams whose payload the endpoint rejected as a
+    /// malformed segment (lifetime total, across resets).
+    malformed: u64,
 }
 
 impl ChannelPort {
@@ -46,6 +49,7 @@ impl ChannelPort {
             port,
             timer,
             armed_at: None,
+            malformed: 0,
         }
     }
 
@@ -64,6 +68,7 @@ impl ChannelPort {
             port,
             timer,
             armed_at: None,
+            malformed: 0,
         }
     }
 
@@ -85,7 +90,7 @@ impl ChannelPort {
     }
 
     /// Does this datagram belong to this channel (right 5-tuple)?
-    pub fn matches(&self, d: &UdpDatagram) -> bool {
+    pub fn matches(&self, d: &UdpDatagram<'_>) -> bool {
         d.udp.dst_port == self.addr.src_port
             && d.udp.src_port == self.addr.dst_port
             && d.ip.src == self.addr.dst_ip
@@ -106,16 +111,36 @@ impl ChannelPort {
     }
 
     /// Feed a matching datagram; returns delivered events in order.
-    pub fn on_datagram(&mut self, d: &UdpDatagram, now: SimTime) -> Vec<ChannelEvent> {
+    pub fn on_datagram(&mut self, d: &UdpDatagram<'_>, now: SimTime) -> Vec<ChannelEvent> {
         // A corrupted segment that survived the UDP checksum (or a
-        // malformed peer) is dropped; retransmission repairs it.
-        self.ep.on_segment(&d.payload, now).unwrap_or_default()
+        // malformed peer) is counted and dropped; retransmission
+        // repairs it.
+        self.ep.on_segment(d.payload, now).unwrap_or_else(|_| {
+            self.malformed += 1;
+            Vec::new()
+        })
+    }
+
+    /// Fold this channel's lifetime counters into a metrics registry.
+    pub fn fold_metrics(&self, reg: &mut sc_net::metrics::Registry) {
+        reg.add("channel.malformed_segments", self.malformed);
     }
 
     /// Transmit everything due and (re-)arm the retransmission timer.
+    /// Each segment is encoded straight into its frame's recycled
+    /// buffer.
     pub fn flush(&mut self, ctx: &mut Ctx) {
-        while let Some(seg) = self.ep.poll_transmit(ctx.now()) {
-            let frame = udp_frame(self.addr, 64, &seg);
+        let now = ctx.now();
+        loop {
+            let mut due = false;
+            let frame = Frame::build(|buf| {
+                udp_frame_into(buf, self.addr, 64, |seg| {
+                    due = self.ep.poll_transmit(now, seg);
+                });
+            });
+            if !due {
+                break; // the unused buffer returns to the pool
+            }
             ctx.send_frame(self.port, frame);
         }
         if let Some(at) = self.ep.next_wakeup() {
@@ -132,11 +157,6 @@ impl ChannelPort {
         self.armed_at = None;
         self.flush(ctx);
     }
-
-    /// Access to the underlying endpoint (state, stats).
-    pub fn endpoint(&self) -> &Endpoint {
-        &self.ep
-    }
 }
 
 #[cfg(test)]
@@ -145,7 +165,7 @@ mod tests {
     use crate::link::LinkParams;
     use crate::node::{Node, NodeId};
     use crate::world::World;
-    use sc_net::wire::open_udp_frame;
+    use sc_net::wire::peek_udp_frame;
     use sc_net::MacAddr;
     use std::any::Any;
     use std::net::Ipv4Addr;
@@ -185,7 +205,7 @@ mod tests {
             }
         }
         fn on_frame(&mut self, ctx: &mut Ctx, _port: PortId, frame: sc_net::Frame) {
-            let Ok(Some(d)) = open_udp_frame(&frame) else {
+            let Ok(Some(d)) = peek_udp_frame(&frame) else {
                 return;
             };
             let chan = self.chan.as_mut().unwrap();

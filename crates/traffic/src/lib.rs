@@ -137,9 +137,10 @@ impl TrafficSource {
                     64,
                     &payload,
                 );
-                frame[udp_off + 6] = 0;
-                frame[udp_off + 7] = 0;
-                Frame::new(frame)
+                let buf = frame.make_mut();
+                buf[udp_off + 6] = 0;
+                buf[udp_off + 7] = 0;
+                frame
             })
             .collect();
         TrafficSource {
@@ -352,15 +353,15 @@ impl Node for TrafficSink {
     }
 
     fn on_frame(&mut self, ctx: &mut Ctx, _port: PortId, frame: Frame) {
-        // Borrowed header parse: same validation as `open_udp_frame`,
-        // no payload copy (the sink only matches on addressing).
-        let Ok(Some((_eth, ip, udp, _payload))) = peek_udp_frame(&frame) else {
+        // Borrowed header parse, no payload copy (the sink only
+        // matches on addressing).
+        let Ok(Some(d)) = peek_udp_frame(&frame) else {
             return;
         };
-        if udp.dst_port != udp_port::PROBE {
+        if d.udp.dst_port != udp_port::PROBE {
             return;
         }
-        let Some(&idx) = self.cam.get(&ip.dst) else {
+        let Some(&idx) = self.cam.get(&d.ip.dst) else {
             self.unexpected_packets += 1;
             return;
         };
