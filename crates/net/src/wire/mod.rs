@@ -25,9 +25,7 @@ pub mod udp;
 pub use arp::{ArpOp, ArpRepr};
 pub use ethernet::{EtherType, EthernetRepr};
 pub use ipv4::Ipv4Repr;
-pub use stack::{
-    peek_udp_frame, udp_frame, udp_frame_into, UdpDatagram, UdpEndpoints, UDP_HEADERS_LEN,
-};
+pub use stack::{peek_udp_frame, udp_frame, udp_frame_into, UdpDatagram, UdpEndpoints};
 pub use udp::UdpRepr;
 
 use std::fmt;

@@ -71,9 +71,8 @@ impl<'a> UdpDatagram<'a> {
     }
 }
 
-/// Bytes of Ethernet + IPv4 + UDP header in front of every datagram
-/// payload.
-pub const UDP_HEADERS_LEN: usize =
+/// Bytes of Ethernet + IPv4 + UDP header in front of every payload.
+const HEADERS_LEN: usize =
     super::ethernet::HEADER_LEN + super::ipv4::HEADER_LEN + super::udp::HEADER_LEN;
 
 /// Encode an Ethernet/IPv4/UDP frame into `buf` in one pass: `buf` is
@@ -88,7 +87,7 @@ pub fn udp_frame_into(
     payload: impl FnOnce(&mut Vec<u8>),
 ) {
     buf.clear();
-    buf.resize(UDP_HEADERS_LEN, 0);
+    buf.resize(HEADERS_LEN, 0);
     payload(buf);
     let (eth, packet) = buf.split_at_mut(super::ethernet::HEADER_LEN);
     let (ip, segment) = packet.split_at_mut(super::ipv4::HEADER_LEN);

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use sc_net::channel::{ChannelConfig, ChannelEvent, Endpoint};
 use sc_net::wire::{
     peek_udp_frame, udp_frame, udp_frame_into, ArpOp, ArpRepr, EtherType, EthernetRepr, Ipv4Repr,
-    UdpEndpoints, UdpRepr, UDP_HEADERS_LEN,
+    UdpEndpoints, UdpRepr,
 };
 use sc_net::{Ipv4Prefix, MacAddr, PrefixTrie, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -226,7 +226,7 @@ proptest! {
         let payload: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
         let frame = one_pass(ep, ttl, &payload);
         prop_assert_eq!(&frame, &layered_reference(ep, ttl, &payload));
-        prop_assert_eq!(frame.len(), UDP_HEADERS_LEN + len);
+        prop_assert_eq!(frame.len(), 14 + 20 + 8 + len);
         let d = peek_udp_frame(&frame).unwrap().unwrap();
         prop_assert_eq!(d.payload, &payload[..]);
         prop_assert_eq!(d.ip.ttl, ttl);
