@@ -1,6 +1,7 @@
 //! Golden outputs: exact deterministic counts and stable-report bytes
-//! for the bench worlds and one Fig. 4 scenario cell, pinned under both
-//! serial schedulers. A kernel or plumbing refactor must leave every
+//! for the bench worlds, the `scenarios --smoke` matrix, one Fig. 4
+//! scenario cell and a Fig. 4 table load, pinned under both serial
+//! schedulers. A kernel or plumbing refactor must leave every
 //! value here untouched; a change that legitimately moves one has to
 //! re-pin it and explain why.
 
@@ -10,7 +11,11 @@ use sc_bench::replay::{build_replay_world, run_replay, ReplayParams};
 use sc_lab::Mode;
 use sc_mrt::TimeScale;
 use sc_net::SimDuration;
-use sc_scenarios::{run_scenario, EventScript, ScenarioConfig, SuiteReport, TopologySpec};
+use sc_router::LegacyRouter;
+use sc_scenarios::{
+    build_scenario, run_scenario, run_suite, EventScript, ScenarioConfig, SuiteConfig, SuiteReport,
+    TopologySpec,
+};
 use sc_sim::SchedulerKind;
 use sc_traffic::TrafficSink;
 
@@ -124,5 +129,71 @@ fn fwd_smoke_counts_are_pinned() {
             "{sched:?}"
         );
         assert_eq!(sink.unexpected_packets, 0, "{sched:?}");
+    }
+}
+
+/// The `scenarios --smoke` matrix: chain2x1, primary cut and a 2-cycle
+/// primary flap, both modes, 300 prefixes, 10 flows, seed 42.
+fn smoke_suite(scheduler: SchedulerKind) -> SuiteConfig {
+    SuiteConfig {
+        topologies: vec![TopologySpec::Chain {
+            providers: 2,
+            hops: 1,
+        }],
+        scripts: vec![
+            EventScript::primary_cut(),
+            EventScript::primary_flap(SimDuration::from_secs(3), 2),
+        ],
+        modes: vec![Mode::Stock, Mode::Supercharged],
+        base: ScenarioConfig {
+            prefixes: 300,
+            flows: 10,
+            seed: 42,
+            scheduler,
+            ..ScenarioConfig::default()
+        },
+        workers: None,
+    }
+}
+
+/// `scenarios --smoke --stable-csv` output, byte for byte.
+const SMOKE_STABLE_CSV: &str = concat!(
+    "topology,script,mode,prefixes,flows,rate_pps,median_us,p95_us,max_us,mean_us,unrecovered,detection_us,flow_rewrites,cycles,cycle_median_us,cycle_p95_us,cycle_unrecovered,events,events_per_sec,viol_blackhole_us,viol_loop_us,viol_transit_us,degraded_us,flowmod_retries,detect_us,notify_us,program_us,fib_us,error\n",
+    "chain2x1,primary-cut,legacy,300,10,14000,421330,440037,443660,410074,0,74463,,1,421330,440037,0,1569673,,,,,,,,,,,\n",
+    "chain2x1,primary-cut,supercharged,300,10,14000,102060,102060,102060,99127,0,83942,1,1,102060,102060,0,1369108,,,,,0,0,,,,,\n",
+    "chain2x1,primary-flap,legacy,300,10,14000,421330,440037,443660,410074,0,74463,,2,421330;419335,440037;438455,0;0,5357253,,,,,,,,,,,\n",
+    "chain2x1,primary-flap,supercharged,300,10,14000,102060,102060,102060,99127,0,83942,1,2,102060;93450,102060;93450,0;0,5176111,,,,,0;0,0,,,,,\n",
+);
+
+#[test]
+fn smoke_matrix_stable_report_is_pinned() {
+    for sched in SCHEDULERS {
+        let report = run_suite(&smoke_suite(sched));
+        assert!(report.errors.is_empty(), "{sched:?}: {:?}", report.errors);
+        assert_eq!(report.to_csv_stable(), SMOKE_STABLE_CSV, "{sched:?}");
+    }
+}
+
+#[test]
+fn fig4_table_load_counts_are_pinned() {
+    for sched in SCHEDULERS {
+        let cfg = ScenarioConfig {
+            prefixes: 10_000,
+            seed: 5,
+            scheduler: sched,
+            ..ScenarioConfig::default()
+        };
+        let mut scn = build_scenario(&TopologySpec::Fig4Lab, Mode::Supercharged, &cfg);
+        scn.run_until_converged();
+        let r1 = scn.world.node::<LegacyRouter>(scn.r1);
+        assert_eq!(
+            (
+                scn.world.stats().events_processed,
+                r1.stats.updates_processed,
+                r1.walker().ops_applied
+            ),
+            (29_123, 896, 20_000),
+            "{sched:?}"
+        );
     }
 }
