@@ -22,24 +22,29 @@ use sc_bgp::msg::BgpMessage;
 use sc_bgp::session::{DownReason, Session, SessionConfig, SessionEvent};
 use sc_bgp::PeerId;
 // sc-check: allow(layering) -- the controller still drives channels directly; unpicking this is the ROADMAP sans-io refactor
-use sc_net::channel::{ChannelConfig, ChannelEvent};
+use sc_net::channel::ChannelEvent;
 use sc_net::wire::udp::port as udp_port;
-use sc_net::wire::{peek_udp_frame, ArpOp, ArpRepr, EtherType, EthernetRepr, UdpEndpoints};
+use sc_net::wire::{
+    peek_udp_frame, ArpOp, ArpRepr, EtherType, EthernetRepr, UdpDatagram, UdpEndpoints,
+};
 use sc_net::{MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::{FlowModCommand, OfMessage};
 use sc_openflow::{Action, FlowMatch};
-use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken};
+use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken, Wakeup};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 const TIMER_SWITCH_CHAN: TimerToken = TimerToken(10);
-const TIMER_ROUTER_CHAN: TimerToken = TimerToken(11);
-const TIMER_ROUTER_SESSION: TimerToken = TimerToken(12);
 const TIMER_REACTION: TimerToken = TimerToken(13);
 const TIMER_RETIRE: TimerToken = TimerToken(14);
 const TIMER_FLOWMOD_ACK: TimerToken = TimerToken(15);
 const TIMER_ECHO: TimerToken = TimerToken(16);
+/// The router link's channel timer. Every [`BgpLink`]'s session and
+/// BFD wakeups take the two tokens after its channel's; the router link
+/// runs no BFD, so its third token is never armed.
+const TIMER_ROUTER_CHAN: TimerToken = TimerToken(20);
+const TIMER_ROUTER_SESSION: TimerToken = TimerToken(TIMER_ROUTER_CHAN.0 + 1);
 const PEER_TIMER_BASE: u64 = 100;
 const PEER_TIMER_STRIDE: u64 = 10;
 
@@ -161,13 +166,78 @@ struct UnackedBatch {
     deadline: SimTime,
 }
 
-struct PeerSessionState {
-    link: PeerLink,
+/// One BGP transport: the reliable channel, its session, optional BFD
+/// and their wakeups. The router-facing link and every peer link are
+/// one of these.
+struct BgpLink {
     chan: ChannelPort,
     session: Session,
     bfd: Option<BfdSession>,
-    session_armed: Option<SimTime>,
-    bfd_armed: Option<SimTime>,
+    session_wakeup: Wakeup,
+    bfd_wakeup: Wakeup,
+}
+
+impl BgpLink {
+    /// The wakeups take the two timer tokens after the channel's.
+    fn new(chan: ChannelPort, session: SessionConfig, bfd: Option<BfdConfig>) -> BgpLink {
+        let token = chan.timer.token();
+        BgpLink {
+            chan,
+            session: Session::new(session),
+            bfd: bfd.map(BfdSession::new),
+            session_wakeup: Wakeup::new(TimerToken(token.0 + 1)),
+            bfd_wakeup: Wakeup::new(TimerToken(token.0 + 2)),
+        }
+    }
+
+    /// Drain the session's output into the channel and re-arm the
+    /// session wakeup.
+    fn pump(&mut self, ctx: &mut Ctx) {
+        while let Some(msg) = self.session.poll_transmit() {
+            let mut buf = self.chan.take_buffer();
+            msg.encode_into(&mut buf);
+            self.chan.send(buf);
+        }
+        self.chan.flush(ctx);
+        self.session_wakeup.arm(ctx, self.session.next_wakeup());
+    }
+
+    /// Feed a datagram matching the channel through to the session;
+    /// messages that fail to decode count in `malformed`.
+    fn receive(
+        &mut self,
+        d: &UdpDatagram<'_>,
+        now: SimTime,
+        malformed: &mut u64,
+    ) -> Vec<SessionEvent> {
+        let mut session_events = Vec::new();
+        for ev in self.chan.on_datagram(d, now) {
+            match ev {
+                ChannelEvent::Connected => self.session.start(now),
+                ChannelEvent::Delivered(bytes) => match BgpMessage::decode(&bytes) {
+                    Ok(msg) => session_events.extend(self.session.on_message(msg, now)),
+                    Err(_) => *malformed += 1,
+                },
+                ChannelEvent::PeerClosed => {
+                    if let Some(ev) = self.session.stop(DownReason::AdminDown) {
+                        session_events.push(ev);
+                    }
+                }
+            }
+        }
+        session_events
+    }
+
+    /// The session wakeup fired: run the session's timers.
+    fn on_session_timer(&mut self, now: SimTime) -> Vec<SessionEvent> {
+        self.session_wakeup.fired(now);
+        self.session.poll(now)
+    }
+}
+
+struct PeerSessionState {
+    link: PeerLink,
+    bgp: BgpLink,
     failed_over: bool,
 }
 
@@ -177,9 +247,7 @@ pub struct Controller {
     engine: Engine,
     switch_chan: ChannelPort,
     switch_ready: bool,
-    router_chan: ChannelPort,
-    router_session: Session,
-    router_session_armed: Option<SimTime>,
+    router: BgpLink,
     peers: Vec<PeerSessionState>,
     xid: u32,
     /// FLOW_MODs waiting out the reaction delay.
@@ -187,13 +255,13 @@ pub struct Controller {
     reaction_armed: bool,
     /// Retired groups awaiting the rule-grace purge: (eligible_at, group).
     retire_queue: VecDeque<(SimTime, sc_net::Ipv4Prefix, crate::groups::GroupId)>,
-    retire_armed: Option<SimTime>,
+    retire_timer: Wakeup,
     /// Flow-mod batches fenced by a barrier whose reply is still out.
     /// Tokens are assigned in send order, so the deque stays sorted and
     /// a reply acks every batch with a token ≤ its own (cumulative).
     unacked: VecDeque<UnackedBatch>,
     barrier_token: u64,
-    ack_timer_armed: Option<SimTime>,
+    ack_timer: Wakeup,
     degraded: bool,
     pub stats: ControllerStats,
     pub events: Vec<(SimTime, ControllerEvent)>,
@@ -205,7 +273,6 @@ impl Controller {
     pub fn new(cfg: ControllerConfig, port: PortId) -> Controller {
         let engine = Engine::new(cfg.engine.clone());
         let switch_chan = ChannelPort::connect(
-            ChannelConfig::default(),
             UdpEndpoints {
                 src_mac: cfg.mac,
                 dst_mac: cfg.switch.switch_mac,
@@ -217,51 +284,49 @@ impl Controller {
             port,
             TIMER_SWITCH_CHAN,
         );
-        let router_chan = ChannelPort::listen(
-            ChannelConfig::default(),
-            UdpEndpoints {
-                src_mac: cfg.mac,
-                dst_mac: cfg.router.router_mac,
-                src_ip: cfg.ip,
-                dst_ip: cfg.router.router_ip,
-                src_port: cfg.router.local_port,
-                dst_port: cfg.router.remote_port,
-            },
-            port,
-            TIMER_ROUTER_CHAN,
-        );
-        let router_session = Session::new(SessionConfig {
+        let session = |hold_time| SessionConfig {
             local_as: cfg.asn,
             router_id: cfg.router_id,
-            hold_time: cfg.router.hold_time,
-        });
+            hold_time,
+        };
+        let router = BgpLink::new(
+            ChannelPort::listen(
+                UdpEndpoints {
+                    src_mac: cfg.mac,
+                    dst_mac: cfg.router.router_mac,
+                    src_ip: cfg.ip,
+                    dst_ip: cfg.router.router_ip,
+                    src_port: cfg.router.local_port,
+                    dst_port: cfg.router.remote_port,
+                },
+                port,
+                TIMER_ROUTER_CHAN,
+            ),
+            session(cfg.router.hold_time),
+            None,
+        );
         let peers = cfg
             .peers
             .iter()
             .enumerate()
             .map(|(i, link)| PeerSessionState {
                 link: *link,
-                chan: ChannelPort::connect(
-                    ChannelConfig::default(),
-                    UdpEndpoints {
-                        src_mac: cfg.mac,
-                        dst_mac: link.spec.mac,
-                        src_ip: cfg.ip,
-                        dst_ip: link.spec.id,
-                        src_port: link.local_port,
-                        dst_port: link.remote_port,
-                    },
-                    port,
-                    TimerToken(PEER_TIMER_BASE + i as u64 * PEER_TIMER_STRIDE),
+                bgp: BgpLink::new(
+                    ChannelPort::connect(
+                        UdpEndpoints {
+                            src_mac: cfg.mac,
+                            dst_mac: link.spec.mac,
+                            src_ip: cfg.ip,
+                            dst_ip: link.spec.id,
+                            src_port: link.local_port,
+                            dst_port: link.remote_port,
+                        },
+                        port,
+                        TimerToken(PEER_TIMER_BASE + i as u64 * PEER_TIMER_STRIDE),
+                    ),
+                    session(link.hold_time),
+                    link.bfd,
                 ),
-                session: Session::new(SessionConfig {
-                    local_as: cfg.asn,
-                    router_id: cfg.router_id,
-                    hold_time: link.hold_time,
-                }),
-                bfd: link.bfd.map(BfdSession::new),
-                session_armed: None,
-                bfd_armed: None,
                 failed_over: false,
             })
             .collect();
@@ -269,18 +334,16 @@ impl Controller {
             engine,
             switch_chan,
             switch_ready: false,
-            router_chan,
-            router_session,
-            router_session_armed: None,
+            router,
             peers,
             xid: 1,
             pending_flowmods: VecDeque::new(),
             reaction_armed: false,
             retire_queue: VecDeque::new(),
-            retire_armed: None,
+            retire_timer: Wakeup::new(TIMER_RETIRE),
             unacked: VecDeque::new(),
             barrier_token: 0,
-            ack_timer_armed: None,
+            ack_timer: Wakeup::new(TIMER_FLOWMOD_ACK),
             degraded: false,
             stats: ControllerStats::default(),
             events: Vec::new(),
@@ -303,12 +366,12 @@ impl Controller {
         reg.add("ctl.bfd_malformed", self.stats.bfd_malformed);
         reg.add("ctl.bgp_malformed", self.stats.bgp_malformed);
         self.switch_chan.fold_metrics(reg);
-        self.router_chan.fold_metrics(reg);
-        self.router_session.fold_metrics(reg);
+        self.router.chan.fold_metrics(reg);
+        self.router.session.fold_metrics(reg);
         for p in &self.peers {
-            p.session.fold_metrics(reg);
-            p.chan.fold_metrics(reg);
-            if let Some(bfd) = &p.bfd {
+            p.bgp.session.fold_metrics(reg);
+            p.bgp.chan.fold_metrics(reg);
+            if let Some(bfd) = &p.bgp.bfd {
                 bfd.fold_metrics(reg);
             }
         }
@@ -321,20 +384,20 @@ impl Controller {
     /// BFD state and negotiated detection time toward a peer.
     pub fn bfd_snapshot(&self, peer: PeerId) -> Option<(sc_bfd::BfdState, SimDuration)> {
         let p = self.peers.iter().find(|p| p.link.spec.id == peer)?;
-        let bfd = p.bfd.as_ref()?;
+        let bfd = p.bgp.bfd.as_ref()?;
         Some((bfd.state(), bfd.detection_time()))
     }
 
     /// BFD packet counters toward a peer (diagnostics).
     pub fn bfd_counters(&self, peer: PeerId) -> Option<(u64, u64)> {
         let p = self.peers.iter().find(|p| p.link.spec.id == peer)?;
-        let bfd = p.bfd.as_ref()?;
+        let bfd = p.bgp.bfd.as_ref()?;
         Some((bfd.packets_sent, bfd.packets_received))
     }
 
     /// Is the router-facing session Established?
     pub fn router_session_up(&self) -> bool {
-        self.router_session.state() == sc_bgp::SessionState::Established
+        self.router.session.state() == sc_bgp::SessionState::Established
     }
 
     fn next_xid(&mut self) -> u32 {
@@ -394,12 +457,8 @@ impl Controller {
     }
 
     fn arm_ack_timer(&mut self, ctx: &mut Ctx) {
-        if let Some(at) = self.unacked.iter().map(|b| b.deadline).min() {
-            if self.ack_timer_armed != Some(at) {
-                self.ack_timer_armed = Some(at);
-                ctx.set_timer_at(at, TIMER_FLOWMOD_ACK);
-            }
-        }
+        let due = self.unacked.iter().map(|b| b.deadline).min();
+        self.ack_timer.arm(ctx, due);
     }
 
     fn on_barrier_reply(&mut self, ctx: &mut Ctx, token: u64) {
@@ -423,8 +482,8 @@ impl Controller {
     }
 
     fn retry_unacked(&mut self, ctx: &mut Ctx) {
-        self.ack_timer_armed = None;
         let now = ctx.now();
+        self.ack_timer.fired(now);
         let mut resend: Vec<(u64, Vec<OfMessage>)> = Vec::new();
         let mut kept = VecDeque::with_capacity(self.unacked.len());
         while let Some(mut b) = self.unacked.pop_front() {
@@ -497,9 +556,9 @@ impl Controller {
         // Routing side, packed like a real speaker. With the session
         // down nothing is queued: the engine's `announced` state is the
         // source of truth and is replayed in full on (re-)establishment.
-        if self.router_session.state() == sc_bgp::SessionState::Established {
+        if self.router.session.state() == sc_bgp::SessionState::Established {
             for update in Engine::pack_for_router(&actions) {
-                self.router_session.queue_update(update);
+                self.router.session.queue_update(update);
             }
         }
         // Switch side: the whole run is one fenced batch.
@@ -541,21 +600,17 @@ impl Controller {
             }
         }
         self.send_flow_batch(ctx, batch);
-        self.pump_router(ctx);
+        self.router.pump(ctx);
     }
 
     fn arm_retire_timer(&mut self, ctx: &mut Ctx) {
-        if let Some((at, _, _)) = self.retire_queue.front() {
-            let at = *at;
-            if self.retire_armed != Some(at) {
-                self.retire_armed = Some(at);
-                ctx.set_timer_at(at, TIMER_RETIRE);
-            }
-        }
+        let due = self.retire_queue.front().map(|&(at, _, _)| at);
+        self.retire_timer.arm(ctx, due);
     }
 
     fn drain_retired(&mut self, ctx: &mut Ctx) {
         let now = ctx.now();
+        self.retire_timer.fired(now);
         let mut batch = Vec::new();
         while let Some((at, _, group)) = self.retire_queue.front().copied() {
             if at > now {
@@ -567,47 +622,12 @@ impl Controller {
             }
         }
         self.send_flow_batch(ctx, batch);
-        self.retire_armed = None;
         self.arm_retire_timer(ctx);
-    }
-
-    fn pump_router(&mut self, ctx: &mut Ctx) {
-        while let Some(msg) = self.router_session.poll_transmit() {
-            let mut buf = self.router_chan.take_buffer();
-            msg.encode_into(&mut buf);
-            self.router_chan.send(buf);
-        }
-        self.router_chan.flush(ctx);
-        if let Some(at) = self.router_session.next_wakeup() {
-            if self.router_session_armed != Some(at) {
-                self.router_session_armed = Some(at);
-                ctx.set_timer_at(at, TIMER_ROUTER_SESSION);
-            }
-        }
-    }
-
-    fn pump_peer(&mut self, idx: usize, ctx: &mut Ctx) {
-        let peer = &mut self.peers[idx];
-        while let Some(msg) = peer.session.poll_transmit() {
-            let mut buf = peer.chan.take_buffer();
-            msg.encode_into(&mut buf);
-            peer.chan.send(buf);
-        }
-        peer.chan.flush(ctx);
-        if let Some(at) = peer.session.next_wakeup() {
-            if peer.session_armed != Some(at) {
-                peer.session_armed = Some(at);
-                ctx.set_timer_at(
-                    at,
-                    TimerToken(PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + 1),
-                );
-            }
-        }
     }
 
     fn pump_bfd(&mut self, idx: usize, ctx: &mut Ctx) {
         let now = ctx.now();
-        let Some(bfd) = self.peers[idx].bfd.as_mut() else {
+        let Some(bfd) = self.peers[idx].bgp.bfd.as_mut() else {
             return;
         };
         let (event, packet) = bfd.poll(now);
@@ -617,15 +637,7 @@ impl Controller {
             let frame = pkt.frame(self.cfg.mac, self.cfg.ip, spec.mac, spec.id);
             ctx.send_frame(self.switch_port(), frame);
         }
-        if let Some(at) = next {
-            if self.peers[idx].bfd_armed != Some(at) {
-                self.peers[idx].bfd_armed = Some(at);
-                ctx.set_timer_at(
-                    at,
-                    TimerToken(PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + 2),
-                );
-            }
-        }
+        self.peers[idx].bgp.bfd_wakeup.arm(ctx, next);
         if let Some(ev) = event {
             self.on_bfd_event(idx, ev, ctx);
         }
@@ -665,9 +677,9 @@ impl Controller {
                 // and restart the transport so the session can
                 // re-establish — and the peer re-announce — once the
                 // peer returns.
-                self.peers[idx].session.stop(DownReason::BfdDown);
-                self.peers[idx].chan.reset();
-                self.pump_peer(idx, ctx);
+                self.peers[idx].bgp.session.stop(DownReason::BfdDown);
+                self.peers[idx].bgp.chan.reset();
+                self.peers[idx].bgp.pump(ctx);
                 // Slow path: control-plane repair toward the router.
                 let actions = self.engine.peer_down_repair(peer_id);
                 ctx.trace_instant("bgp", "repair.queued", 0, actions.len() as u64, String::new);
@@ -811,7 +823,7 @@ impl Controller {
                     // controller-side Adj-RIB-Out, RFC 4271 §9.4.
                     let replay = self.engine.export_announcements();
                     for update in Engine::pack_for_router(&replay) {
-                        self.router_session.queue_update(update);
+                        self.router.session.queue_update(update);
                     }
                 }
                 SessionEvent::Down(_) => {
@@ -819,8 +831,8 @@ impl Controller {
                     // transport so the router (the active side) can
                     // reconnect; the next establishment replays
                     // everything from engine state.
-                    self.pump_router(ctx);
-                    self.router_chan.reset();
+                    self.router.pump(ctx);
+                    self.router.chan.reset();
                 }
                 SessionEvent::Update(_) => {
                     // The supercharged router does not originate routes
@@ -879,8 +891,8 @@ impl Controller {
                     // Either way the transport restarts: flush any final
                     // NOTIFICATION, then reconnect so the peer can
                     // re-establish and re-announce when it returns.
-                    self.pump_peer(idx, ctx);
-                    self.peers[idx].chan.reset();
+                    self.peers[idx].bgp.pump(ctx);
+                    self.peers[idx].bgp.chan.reset();
                 }
                 SessionEvent::Update(upd) => {
                     let actions = self.engine.process_update(peer_id, &upd);
@@ -903,8 +915,8 @@ impl Node for Controller {
             ctx.set_timer_after(iv, TIMER_ECHO);
         }
         for idx in 0..self.peers.len() {
-            self.peers[idx].chan.flush(ctx);
-            if let Some(bfd) = self.peers[idx].bfd.as_mut() {
+            self.peers[idx].bgp.chan.flush(ctx);
+            if let Some(bfd) = self.peers[idx].bgp.bfd.as_mut() {
                 bfd.start(ctx.now());
             }
             self.pump_bfd(idx, ctx);
@@ -951,14 +963,14 @@ impl Node for Controller {
             if let Some(idx) = self
                 .peers
                 .iter()
-                .position(|p| p.link.spec.id == d.ip.src && p.bfd.is_some())
+                .position(|p| p.link.spec.id == d.ip.src && p.bgp.bfd.is_some())
             {
                 let Ok(pkt) = sc_bfd::BfdPacket::parse(d.payload) else {
                     self.stats.bfd_malformed += 1;
                     return;
                 };
-                let event = self.peers[idx].bfd.as_mut().unwrap().on_packet(&pkt, now);
-                if let Some(ev) = event {
+                let bfd = self.peers[idx].bgp.bfd.as_mut().unwrap();
+                if let Some(ev) = bfd.on_packet(&pkt, now) {
                     self.on_bfd_event(idx, ev, ctx);
                 }
                 self.pump_bfd(idx, ctx);
@@ -966,61 +978,30 @@ impl Node for Controller {
             return;
         }
         // 3. Router-facing BGP session.
-        if self.router_chan.matches(&d) {
-            let events = self.router_chan.on_datagram(&d, now);
-            let mut session_events = Vec::new();
-            for ev in events {
-                match ev {
-                    ChannelEvent::Connected => self.router_session.start(now),
-                    ChannelEvent::Delivered(bytes) => match BgpMessage::decode(&bytes) {
-                        Ok(msg) => session_events.extend(self.router_session.on_message(msg, now)),
-                        Err(_) => self.stats.bgp_malformed += 1,
-                    },
-                    ChannelEvent::PeerClosed => {
-                        if let Some(ev) = self.router_session.stop(DownReason::AdminDown) {
-                            session_events.push(ev);
-                        }
-                    }
-                }
-            }
-            self.handle_router_session_events(session_events, ctx);
-            self.pump_router(ctx);
+        if self.router.chan.matches(&d) {
+            let events = self.router.receive(&d, now, &mut self.stats.bgp_malformed);
+            self.handle_router_session_events(events, ctx);
+            self.router.pump(ctx);
             return;
         }
         // 4. Peer BGP sessions.
-        if let Some(idx) = self.peers.iter().position(|p| p.chan.matches(&d)) {
-            let events = self.peers[idx].chan.on_datagram(&d, now);
-            let mut session_events = Vec::new();
-            for ev in events {
-                match ev {
-                    ChannelEvent::Connected => self.peers[idx].session.start(now),
-                    ChannelEvent::Delivered(bytes) => match BgpMessage::decode(&bytes) {
-                        Ok(msg) => {
-                            session_events.extend(self.peers[idx].session.on_message(msg, now));
-                        }
-                        Err(_) => self.stats.bgp_malformed += 1,
-                    },
-                    ChannelEvent::PeerClosed => {
-                        if let Some(ev) = self.peers[idx].session.stop(DownReason::AdminDown) {
-                            session_events.push(ev);
-                        }
-                    }
-                }
-            }
-            self.handle_peer_session_events(idx, session_events, ctx);
-            self.pump_peer(idx, ctx);
+        if let Some(idx) = self.peers.iter().position(|p| p.bgp.chan.matches(&d)) {
+            let events = self.peers[idx]
+                .bgp
+                .receive(&d, now, &mut self.stats.bgp_malformed);
+            self.handle_peer_session_events(idx, events, ctx);
+            self.peers[idx].bgp.pump(ctx);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
         match token {
             TIMER_SWITCH_CHAN => self.switch_chan.on_timer(ctx),
-            TIMER_ROUTER_CHAN => self.router_chan.on_timer(ctx),
+            TIMER_ROUTER_CHAN => self.router.chan.on_timer(ctx),
             TIMER_ROUTER_SESSION => {
-                self.router_session_armed = None;
-                let events = self.router_session.poll(ctx.now());
+                let events = self.router.on_session_timer(ctx.now());
                 self.handle_router_session_events(events, ctx);
-                self.pump_router(ctx);
+                self.router.pump(ctx);
             }
             TIMER_REACTION => {
                 self.reaction_armed = false;
@@ -1035,8 +1016,8 @@ impl Node for Controller {
                     // OpenFlow echo for the switch agent's deadline and
                     // an out-of-schedule BGP KEEPALIVE for the router's.
                     self.of_send(ctx, OfMessage::EchoRequest(Vec::new()));
-                    self.router_session.send_keepalive();
-                    self.pump_router(ctx);
+                    self.router.session.send_keepalive();
+                    self.router.pump(ctx);
                     ctx.set_timer_after(iv, TIMER_ECHO);
                 }
             }
@@ -1046,15 +1027,14 @@ impl Node for Controller {
                     return;
                 }
                 match (t - PEER_TIMER_BASE) % PEER_TIMER_STRIDE {
-                    0 => self.peers[idx].chan.on_timer(ctx),
+                    0 => self.peers[idx].bgp.chan.on_timer(ctx),
                     1 => {
-                        self.peers[idx].session_armed = None;
-                        let events = self.peers[idx].session.poll(ctx.now());
+                        let events = self.peers[idx].bgp.on_session_timer(ctx.now());
                         self.handle_peer_session_events(idx, events, ctx);
-                        self.pump_peer(idx, ctx);
+                        self.peers[idx].bgp.pump(ctx);
                     }
                     2 => {
-                        self.peers[idx].bfd_armed = None;
+                        self.peers[idx].bgp.bfd_wakeup.fired(ctx.now());
                         self.pump_bfd(idx, ctx);
                     }
                     _ => {}

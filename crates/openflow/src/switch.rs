@@ -21,7 +21,7 @@ use crate::types::{Action, FlowKey, FlowMatch};
 use sc_net::channel::ChannelEvent;
 use sc_net::wire::{peek_udp_frame, EthernetRepr};
 use sc_net::{Frame, FxHashMap, MacAddr, SimDuration, SimTime};
-use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken};
+use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken, Wakeup};
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -92,6 +92,8 @@ pub struct SwitchStats {
     /// FLOW_MODs discarded by the scripted chaos budget
     /// ([`OfSwitch::set_drop_flowmods`]).
     pub chaos_dropped_mods: u64,
+    /// Delivered control-channel messages that failed to decode.
+    pub of_malformed: u64,
 }
 
 /// A queued hardware operation (FLOW_MOD waiting for TCAM programming,
@@ -144,7 +146,7 @@ pub struct OfSwitch {
     drop_flowmods: u32,
     pending: VecDeque<PendingOp>,
     install_busy_until: SimTime,
-    install_timer_armed: Option<SimTime>,
+    install_timer: Wakeup,
     xid_counter: u32,
     pub stats: SwitchStats,
 }
@@ -163,7 +165,7 @@ impl OfSwitch {
             drop_flowmods: 0,
             pending: VecDeque::new(),
             install_busy_until: SimTime::ZERO,
-            install_timer_armed: None,
+            install_timer: Wakeup::new(TIMER_INSTALL),
             xid_counter: 1,
             stats: SwitchStats::default(),
         }
@@ -181,7 +183,9 @@ impl OfSwitch {
     /// controller initiates). May be called multiple times for
     /// redundant controllers.
     pub fn attach_controller(&mut self, mut chan: ChannelPort) {
-        chan.timer = TimerToken(TIMER_CHANNEL_BASE + self.controllers.len() as u64);
+        chan.timer = Wakeup::new(TimerToken(
+            TIMER_CHANNEL_BASE + self.controllers.len() as u64,
+        ));
         self.controllers.push(chan);
         self.ctrl_live.push(false);
         self.last_heard.push(SimTime::ZERO);
@@ -212,6 +216,12 @@ impl OfSwitch {
     /// domain observers need to replay the table-miss broadcast.
     pub fn data_ports(&self) -> &[PortId] {
         &self.data_ports
+    }
+
+    /// Fold this switch's lifetime counters into a metrics registry.
+    /// Call once, after a run: the counters are totals, not deltas.
+    pub fn fold_metrics(&self, reg: &mut sc_net::metrics::Registry) {
+        reg.add("switch.of_malformed", self.stats.of_malformed);
     }
 
     /// Number of hardware operations still pending.
@@ -398,17 +408,13 @@ impl OfSwitch {
     }
 
     fn arm_install_timer(&mut self, ctx: &mut Ctx) {
-        if let Some(front) = self.pending.front() {
-            let at = front.done_at();
-            if self.install_timer_armed != Some(at) {
-                self.install_timer_armed = Some(at);
-                ctx.set_timer_at(at, TIMER_INSTALL);
-            }
-        }
+        let due = self.pending.front().map(PendingOp::done_at);
+        self.install_timer.arm(ctx, due);
     }
 
     fn drain_installs(&mut self, ctx: &mut Ctx) {
         let now = ctx.now();
+        self.install_timer.fired(now);
         while let Some(front) = self.pending.front() {
             if front.done_at() > now {
                 break;
@@ -464,7 +470,6 @@ impl OfSwitch {
                 }
             }
         }
-        self.install_timer_armed = None;
         self.arm_install_timer(ctx);
     }
 
@@ -593,7 +598,7 @@ impl Node for OfSwitch {
                         match ev {
                             ChannelEvent::Delivered(bytes) => match OfMessage::decode(&bytes) {
                                 Ok((xid, msg)) => self.on_control(ctx, idx, xid, msg),
-                                Err(_) => { /* malformed control message */ }
+                                Err(_) => self.stats.of_malformed += 1,
                             },
                             ChannelEvent::PeerClosed => peer_closed = true,
                             _ => {}

@@ -2,7 +2,7 @@
 //! flow installation latency, barriers, PACKET_IN/OUT and failover-style
 //! flow modification — all over the real simulated network.
 
-use sc_net::channel::{ChannelConfig, ChannelEvent};
+use sc_net::channel::ChannelEvent;
 use sc_net::wire::{peek_udp_frame, udp_frame, UdpEndpoints};
 use sc_net::{MacAddr, SimDuration, SimTime};
 use sc_openflow::msg::{FlowModCommand, OfMessage};
@@ -60,6 +60,8 @@ struct StubController {
     name: String,
     chan: Option<ChannelPort>,
     script: Vec<(SimTime, OfMessage)>,
+    /// Raw bytes to send as one control message, at the given time.
+    raw_script: Vec<(SimTime, Vec<u8>)>,
     received: Vec<(SimTime, u32, OfMessage)>,
     xid: u32,
 }
@@ -70,6 +72,7 @@ impl StubController {
             name: name.into(),
             chan: None,
             script: Vec::new(),
+            raw_script: Vec::new(),
             received: Vec::new(),
             xid: 1000,
         }
@@ -83,6 +86,9 @@ impl Node for StubController {
     fn on_start(&mut self, ctx: &mut Ctx) {
         for (i, (at, _)) in self.script.iter().enumerate() {
             ctx.set_timer_at(*at, TimerToken(i as u64 + 100));
+        }
+        for (i, (at, _)) in self.raw_script.iter().enumerate() {
+            ctx.set_timer_at(*at, TimerToken(i as u64 + 500));
         }
         if let Some(chan) = &mut self.chan {
             chan.flush(ctx); // kick off the channel handshake
@@ -107,8 +113,13 @@ impl Node for StubController {
     }
     fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
         let chan = self.chan.as_mut().unwrap();
-        if token == chan.timer {
+        if token == chan.timer.token() {
             chan.on_timer(ctx);
+            return;
+        }
+        if token.0 >= 500 {
+            chan.send(self.raw_script[(token.0 - 500) as usize].1.clone());
+            chan.flush(ctx);
             return;
         }
         let idx = (token.0 - 100) as usize;
@@ -167,19 +178,14 @@ fn build(table_miss: TableMiss) -> Lab {
         src_port: 40001,
         dst_port: sc_net::wire::udp::port::OPENFLOW,
     };
-    world.node_mut::<StubController>(ctrl).chan = Some(ChannelPort::connect(
-        ChannelConfig::default(),
-        ctrl_addr,
-        ctrl_port,
-        TimerToken(1),
-    ));
+    world.node_mut::<StubController>(ctrl).chan =
+        Some(ChannelPort::connect(ctrl_addr, ctrl_port, TimerToken(1)));
     {
         let sw_node = world.node_mut::<OfSwitch>(sw);
         sw_node.register_data_port(sw_port_a);
         sw_node.register_data_port(sw_port_b);
         sw_node.register_data_port(sw_port_c);
         sw_node.attach_controller(ChannelPort::listen(
-            ChannelConfig::default(),
             ctrl_addr.flipped(),
             sw_port_c,
             TimerToken(1),
@@ -275,6 +281,29 @@ fn controller_handshake_features() {
     assert!(kinds
         .iter()
         .any(|m| matches!(m, OfMessage::EchoReply(d) if d == &vec![9, 9])));
+}
+
+#[test]
+fn undecodable_control_message_is_counted() {
+    let mut lab = build(TableMiss::L2Learn);
+    let ctrl = lab.world.node_mut::<StubController>(lab.ctrl);
+    ctrl.raw_script = vec![(SimTime::from_millis(2), vec![0xde, 0xad, 0xbe])];
+    ctrl.script = vec![
+        (SimTime::from_millis(1), OfMessage::Hello),
+        (SimTime::from_millis(3), OfMessage::EchoRequest(vec![7])),
+    ];
+    lab.world.run_until(SimTime::from_millis(20));
+    let sw = lab.world.node::<OfSwitch>(lab.sw);
+    assert_eq!(sw.stats.of_malformed, 1);
+    let mut reg = sc_net::metrics::Registry::enabled();
+    sw.fold_metrics(&mut reg);
+    assert_eq!(reg.counter("switch.of_malformed"), 1);
+    // The channel keeps serving the messages after the bad one.
+    let ctrl = lab.world.node::<StubController>(lab.ctrl);
+    assert!(ctrl
+        .received
+        .iter()
+        .any(|(_, _, m)| matches!(m, OfMessage::EchoReply(d) if d == &vec![7])));
 }
 
 #[test]

@@ -22,11 +22,11 @@ use sc_bfd::{BfdConfig, BfdEvent, BfdSession};
 use sc_bgp::msg::{BgpMessage, UpdateMsg};
 use sc_bgp::session::{DownReason, Session, SessionConfig, SessionEvent};
 use sc_bgp::{AdjRibOut, LocRib, PeerInfo};
-use sc_net::channel::{ChannelConfig, ChannelEvent};
+use sc_net::channel::ChannelEvent;
 use sc_net::wire::udp::port as udp_port;
 use sc_net::wire::{ArpOp, ArpRepr, EtherType, EthernetRepr, Ipv4Repr, UdpDatagram, UdpEndpoints};
 use sc_net::{Frame, Ipv4Prefix, MacAddr, SimDuration, SimTime};
-use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken};
+use sc_sim::{ChannelPort, Ctx, Node, PortId, TimerToken, Wakeup};
 use std::any::Any;
 use std::net::Ipv4Addr;
 
@@ -178,13 +178,13 @@ struct PeerState {
     chan: ChannelPort,
     session: Session,
     bfd: Option<BfdSession>,
-    session_wakeup_armed: Option<SimTime>,
-    bfd_wakeup_armed: Option<SimTime>,
+    session_wakeup: Wakeup,
+    bfd_wakeup: Wakeup,
     /// Last instant any transport traffic arrived from this peer (feeds
     /// the liveness watchdog when `cfg.deadline` is set).
     last_heard: SimTime,
-    /// Due time of the one outstanding watchdog timer, if armed.
-    deadline_armed: Option<SimTime>,
+    /// Is the one outstanding watchdog timer armed?
+    deadline_armed: bool,
     /// What we advertise to this peer (RFC 4271 §3.2): seeded from
     /// `cfg.originate`, mutated by [`LegacyRouter::inject_updates`], and
     /// replayed in full on *every* session establishment — the RFC 4271
@@ -312,12 +312,11 @@ impl LegacyRouter {
             dst_port: cfg.remote_port,
         };
         let idx = self.peers.len();
-        let timer =
-            TimerToken(PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + PEER_TIMER_CHANNEL);
+        let timer = |kind| TimerToken(PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + kind);
         let chan = if cfg.transport_active {
-            ChannelPort::connect(ChannelConfig::default(), addr, iface.port, timer)
+            ChannelPort::connect(addr, iface.port, timer(PEER_TIMER_CHANNEL))
         } else {
-            ChannelPort::listen(ChannelConfig::default(), addr, iface.port, timer)
+            ChannelPort::listen(addr, iface.port, timer(PEER_TIMER_CHANNEL))
         };
         let session = Session::new(SessionConfig {
             local_as: self.cfg.asn,
@@ -333,10 +332,10 @@ impl LegacyRouter {
             chan,
             session,
             bfd,
-            session_wakeup_armed: None,
-            bfd_wakeup_armed: None,
+            session_wakeup: Wakeup::new(timer(PEER_TIMER_SESSION)),
+            bfd_wakeup: Wakeup::new(timer(PEER_TIMER_BFD)),
             last_heard: SimTime::ZERO,
-            deadline_armed: None,
+            deadline_armed: false,
             adj_out,
             establishments: 0,
             purged: false,
@@ -687,15 +686,7 @@ impl LegacyRouter {
             peer.chan.send(buf);
         }
         peer.chan.flush(ctx);
-        if let Some(at) = peer.session.next_wakeup() {
-            if peer.session_wakeup_armed != Some(at) {
-                peer.session_wakeup_armed = Some(at);
-                let token = TimerToken(
-                    PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + PEER_TIMER_SESSION,
-                );
-                ctx.set_timer_at(at, token);
-            }
-        }
+        peer.session_wakeup.arm(ctx, peer.session.next_wakeup());
     }
 
     fn pump_bfd(&mut self, idx: usize, ctx: &mut Ctx) {
@@ -713,14 +704,7 @@ impl LegacyRouter {
                 pkt.frame(iface.mac, iface.ip, c.peer_mac, c.peer_ip),
             );
         }
-        if let Some(at) = next {
-            if self.peers[idx].bfd_wakeup_armed != Some(at) {
-                self.peers[idx].bfd_wakeup_armed = Some(at);
-                let token =
-                    TimerToken(PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + PEER_TIMER_BFD);
-                ctx.set_timer_at(at, token);
-            }
-        }
+        self.peers[idx].bfd_wakeup.arm(ctx, next);
         if let Some(ev) = event {
             self.on_bfd_event(idx, ev, ctx);
         }
@@ -734,8 +718,8 @@ impl LegacyRouter {
             return;
         };
         let due = self.peers[idx].last_heard + d;
-        if self.peers[idx].deadline_armed.is_none() {
-            self.peers[idx].deadline_armed = Some(due);
+        if !self.peers[idx].deadline_armed {
+            self.peers[idx].deadline_armed = true;
             ctx.set_timer_at(
                 due,
                 TimerToken(PEER_TIMER_BASE + idx as u64 * PEER_TIMER_STRIDE + PEER_TIMER_DEADLINE),
@@ -748,7 +732,7 @@ impl LegacyRouter {
     /// its deadline — tear the session down now (same teardown as BFD)
     /// instead of waiting out the hold timer.
     fn check_peer_deadline(&mut self, idx: usize, ctx: &mut Ctx) {
-        self.peers[idx].deadline_armed = None;
+        self.peers[idx].deadline_armed = false;
         let Some(d) = self.peers[idx].cfg.deadline else {
             return;
         };
@@ -1384,24 +1368,13 @@ impl Node for LegacyRouter {
                         self.peers[idx].chan.on_timer(ctx);
                     }
                     PEER_TIMER_SESSION => {
-                        // Clear the armed marker only when this fire IS the
-                        // armed wakeup. A receive-driven pump may have re-armed
-                        // at a different instant while this (now stale) timer
-                        // was still queued; clearing unconditionally would let
-                        // the stale fire re-arm a wakeup that is already
-                        // pending, breeding duplicate timers that re-seed each
-                        // other every cycle.
-                        if self.peers[idx].session_wakeup_armed == Some(ctx.now()) {
-                            self.peers[idx].session_wakeup_armed = None;
-                        }
+                        self.peers[idx].session_wakeup.fired(ctx.now());
                         let events = self.peers[idx].session.poll(ctx.now());
                         self.handle_session_events(idx, events, ctx);
                         self.pump_peer(idx, ctx);
                     }
                     PEER_TIMER_BFD => {
-                        if self.peers[idx].bfd_wakeup_armed == Some(ctx.now()) {
-                            self.peers[idx].bfd_wakeup_armed = None;
-                        }
+                        self.peers[idx].bfd_wakeup.fired(ctx.now());
                         self.pump_bfd(idx, ctx);
                     }
                     PEER_TIMER_DEADLINE => {

@@ -299,6 +299,9 @@ pub fn run_scenario_traced(
                 .node::<supercharger::Controller>(c)
                 .fold_metrics(&mut folded);
         }
+        scn.world
+            .node::<sc_openflow::OfSwitch>(scn.switch)
+            .fold_metrics(&mut folded);
         scn.world.metrics_mut().merge(&folded);
         TraceArtifacts {
             jsonl: scn.world.trace().to_jsonl(),

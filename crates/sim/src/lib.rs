@@ -29,7 +29,7 @@ pub mod world;
 
 pub use link::{Endpoint, LinkId, LinkParams};
 pub use netutil::ChannelPort;
-pub use node::{Ctx, Node, NodeId, PortId, TimerToken};
+pub use node::{Ctx, Node, NodeId, PortId, TimerToken, Wakeup};
 pub use sched::SchedulerKind;
 pub use trace::{Trace, TraceEvent, TracePhase};
 pub use world::{WallClock, World, WorldStats};

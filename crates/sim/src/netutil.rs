@@ -7,7 +7,7 @@
 //! addressing, and the retransmission timer bookkeeping, so node
 //! implementations stay focused on their protocol logic.
 
-use crate::node::{Ctx, PortId, TimerToken};
+use crate::node::{Ctx, PortId, TimerToken, Wakeup};
 use sc_net::channel::{ChannelConfig, ChannelEvent, Endpoint};
 use sc_net::wire::{udp_frame_into, UdpDatagram, UdpEndpoints};
 use sc_net::{Frame, SimTime};
@@ -16,7 +16,6 @@ use sc_net::{Frame, SimTime};
 #[derive(Debug)]
 pub struct ChannelPort {
     ep: Endpoint,
-    cfg: ChannelConfig,
     /// True for the active opener (reconnects with a SYN after
     /// [`ChannelPort::reset`]); false for the passive listener.
     active: bool,
@@ -24,10 +23,8 @@ pub struct ChannelPort {
     pub addr: UdpEndpoints,
     /// The simulated port frames leave through.
     pub port: PortId,
-    /// Timer token the owner dedicates to this channel's retransmissions.
-    pub timer: TimerToken,
-    /// Deadline currently armed (avoid re-arming storms).
-    armed_at: Option<SimTime>,
+    /// The retransmission timer, on a token the owner dedicates to it.
+    pub timer: Wakeup,
     /// Matching datagrams whose payload the endpoint rejected as a
     /// malformed segment (lifetime total, across resets).
     malformed: u64,
@@ -35,40 +32,31 @@ pub struct ChannelPort {
 
 impl ChannelPort {
     /// Active opener (client side).
-    pub fn connect(
-        cfg: ChannelConfig,
-        addr: UdpEndpoints,
-        port: PortId,
-        timer: TimerToken,
-    ) -> ChannelPort {
+    pub fn connect(addr: UdpEndpoints, port: PortId, timer: TimerToken) -> ChannelPort {
+        ChannelPort::new(true, addr, port, timer)
+    }
+
+    /// Passive listener (server side).
+    pub fn listen(addr: UdpEndpoints, port: PortId, timer: TimerToken) -> ChannelPort {
+        ChannelPort::new(false, addr, port, timer)
+    }
+
+    fn new(active: bool, addr: UdpEndpoints, port: PortId, timer: TimerToken) -> ChannelPort {
         ChannelPort {
-            ep: Endpoint::connect(cfg),
-            cfg,
-            active: true,
+            ep: Self::endpoint(active),
+            active,
             addr,
             port,
-            timer,
-            armed_at: None,
+            timer: Wakeup::new(timer),
             malformed: 0,
         }
     }
 
-    /// Passive listener (server side).
-    pub fn listen(
-        cfg: ChannelConfig,
-        addr: UdpEndpoints,
-        port: PortId,
-        timer: TimerToken,
-    ) -> ChannelPort {
-        ChannelPort {
-            ep: Endpoint::listen(cfg),
-            cfg,
-            active: false,
-            addr,
-            port,
-            timer,
-            armed_at: None,
-            malformed: 0,
+    fn endpoint(active: bool) -> Endpoint {
+        if active {
+            Endpoint::connect(ChannelConfig::default())
+        } else {
+            Endpoint::listen(ChannelConfig::default())
         }
     }
 
@@ -81,12 +69,8 @@ impl ChannelPort {
     /// [`sc_net::channel::ChannelEvent::Connected`] would never fire
     /// again, so the session could never re-establish.
     pub fn reset(&mut self) {
-        self.ep = if self.active {
-            Endpoint::connect(self.cfg)
-        } else {
-            Endpoint::listen(self.cfg)
-        };
-        self.armed_at = None;
+        self.ep = Self::endpoint(self.active);
+        self.timer.disarm();
     }
 
     /// Does this datagram belong to this channel (right 5-tuple)?
@@ -143,18 +127,13 @@ impl ChannelPort {
             }
             ctx.send_frame(self.port, frame);
         }
-        if let Some(at) = self.ep.next_wakeup() {
-            if self.armed_at != Some(at) {
-                self.armed_at = Some(at);
-                ctx.set_timer_at(at, self.timer);
-            }
-        }
+        self.timer.arm(ctx, self.ep.next_wakeup());
     }
 
     /// Handle the channel's retransmission timer (call from `on_timer`
     /// when the token matches).
     pub fn on_timer(&mut self, ctx: &mut Ctx) {
-        self.armed_at = None;
+        self.timer.fired(ctx.now());
         self.flush(ctx);
     }
 }
@@ -223,7 +202,7 @@ mod tests {
         }
         fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
             let chan = self.chan.as_mut().unwrap();
-            if token == chan.timer {
+            if token == chan.timer.token() {
                 chan.on_timer(ctx);
             }
         }
@@ -255,18 +234,9 @@ mod tests {
             src_port: 40000,
             dst_port: 6653,
         };
-        w.node_mut::<Talker>(a).chan = Some(ChannelPort::connect(
-            ChannelConfig::default(),
-            addr_a,
-            pa,
-            TimerToken(1),
-        ));
-        w.node_mut::<Talker>(b).chan = Some(ChannelPort::listen(
-            ChannelConfig::default(),
-            addr_a.flipped(),
-            pb,
-            TimerToken(1),
-        ));
+        w.node_mut::<Talker>(a).chan = Some(ChannelPort::connect(addr_a, pa, TimerToken(1)));
+        w.node_mut::<Talker>(b).chan =
+            Some(ChannelPort::listen(addr_a.flipped(), pb, TimerToken(1)));
         (w, a, b)
     }
 

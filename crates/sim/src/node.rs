@@ -21,6 +21,53 @@ pub struct PortId(pub usize);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TimerToken(pub u64);
 
+/// A self-rearming timer: its token plus the due instant it is armed
+/// for. At most one timer is pending per due instant, however often the
+/// owner re-arms at the same instant.
+#[derive(Clone, Copy, Debug)]
+pub struct Wakeup {
+    token: TimerToken,
+    armed: Option<SimTime>,
+}
+
+impl Wakeup {
+    pub fn new(token: TimerToken) -> Wakeup {
+        Wakeup { token, armed: None }
+    }
+
+    pub fn token(&self) -> TimerToken {
+        self.token
+    }
+
+    /// Schedule the token at `due` unless it is already armed for that
+    /// instant. `None` leaves any pending timer as it is.
+    pub fn arm(&mut self, ctx: &mut Ctx, due: Option<SimTime>) {
+        if let Some(at) = due {
+            if self.armed != Some(at) {
+                self.armed = Some(at);
+                ctx.set_timer_at(at, self.token);
+            }
+        }
+    }
+
+    /// The token fired at `now`. The marker clears only when this fire
+    /// is the armed one: a receive may have re-armed at another instant
+    /// while this timer was queued, and clearing on that stale fire
+    /// would let the next [`Wakeup::arm`] duplicate the timer that is
+    /// still pending — duplicates that re-seed each other every cycle.
+    pub fn fired(&mut self, now: SimTime) {
+        if self.armed == Some(now) {
+            self.armed = None;
+        }
+    }
+
+    /// Forget the armed instant, so the next [`Wakeup::arm`] schedules
+    /// even if it names the instant already pending.
+    pub fn disarm(&mut self) {
+        self.armed = None;
+    }
+}
+
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
@@ -214,4 +261,98 @@ pub trait Node: Any {
     fn as_any(&self) -> &dyn Any;
     /// Mutable downcast support.
     fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::world::World;
+
+    const WAKE: TimerToken = TimerToken(1);
+    /// Stands in for a receive that re-arms the wakeup early.
+    const RECV: TimerToken = TimerToken(2);
+
+    /// Arms its wakeup at each `start` instant when the world starts,
+    /// at `recv_due` on a [`RECV`], and after each fire at `next(now)`,
+    /// the way a session re-arms from its own expiry.
+    struct Rearmer {
+        wakeup: Wakeup,
+        start: Vec<SimTime>,
+        recv_due: Option<SimTime>,
+        next: fn(SimTime) -> Option<SimTime>,
+        fires: Vec<SimTime>,
+    }
+
+    impl Rearmer {
+        fn add(w: &mut World, start: Vec<SimTime>, next: fn(SimTime) -> Option<SimTime>) -> NodeId {
+            w.add_node(Rearmer {
+                wakeup: Wakeup::new(WAKE),
+                start,
+                recv_due: None,
+                next,
+                fires: Vec::new(),
+            })
+        }
+    }
+
+    impl Node for Rearmer {
+        fn name(&self) -> &str {
+            "rearmer"
+        }
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            for at in self.start.clone() {
+                self.wakeup.arm(ctx, Some(at));
+            }
+            self.wakeup.arm(ctx, None);
+        }
+        fn on_frame(&mut self, _ctx: &mut Ctx, _port: PortId, _frame: Frame) {}
+        fn on_timer(&mut self, ctx: &mut Ctx, token: TimerToken) {
+            if token == RECV {
+                self.wakeup.arm(ctx, self.recv_due);
+                return;
+            }
+            self.wakeup.fired(ctx.now());
+            self.fires.push(ctx.now());
+            self.wakeup.arm(ctx, (self.next)(ctx.now()));
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    fn ms(v: u64) -> SimTime {
+        SimTime::from_millis(v)
+    }
+
+    #[test]
+    fn arming_the_same_instant_twice_schedules_one_timer() {
+        let mut w = World::new(1);
+        let n = Rearmer::add(&mut w, vec![ms(10), ms(10)], |_| None);
+        w.run_until_idle(100);
+        assert_eq!(w.node::<Rearmer>(n).fires, [ms(10)]);
+        assert_eq!(w.stats().timers_fired, 1);
+    }
+
+    #[test]
+    fn a_stale_fire_does_not_breed_a_duplicate_timer() {
+        // Armed at T1 = 10 ms; a receive re-arms to T0 = 5 ms; T0 fires
+        // and re-arms T1 beside the stale T1 timer; both T1 fires run
+        // and re-arm T2 = 20 ms.
+        let mut w = World::new(1);
+        let n = Rearmer::add(&mut w, vec![ms(10)], |now| match now.as_millis() {
+            5 => Some(ms(10)),
+            10 => Some(ms(20)),
+            _ => None,
+        });
+        w.node_mut::<Rearmer>(n).recv_due = Some(ms(5));
+        w.wake_node(ms(1), n, RECV);
+        w.run_until(ms(10));
+        assert_eq!(w.node::<Rearmer>(n).fires, [ms(5), ms(10), ms(10)]);
+        assert_eq!(w.pending_events(), 1, "exactly one timer left pending");
+        w.run_until_idle(100);
+        assert_eq!(w.node::<Rearmer>(n).fires, [ms(5), ms(10), ms(10), ms(20)]);
+    }
 }
