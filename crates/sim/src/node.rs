@@ -24,7 +24,7 @@ pub struct TimerToken(pub u64);
 /// A self-rearming timer: its token plus the due instant it is armed
 /// for. At most one timer is pending per due instant, however often the
 /// owner re-arms at the same instant.
-#[derive(Clone, Copy, Debug)]
+#[derive(Debug)]
 pub struct Wakeup {
     token: TimerToken,
     armed: Option<SimTime>,
